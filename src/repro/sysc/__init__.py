@@ -9,7 +9,7 @@ security tags on the payload, an address-routed bus and DMI.
 from repro.sysc.event import Event
 from repro.sysc.kernel import DELTA, Kernel, Process
 from repro.sysc.module import Module
-from repro.sysc.time import MS, NS, PS, SEC, US, SimTime
+from repro.sysc.time import MS, NS, PS, SEC, US, ZERO_TIME, SimTime
 from repro.sysc.tlm import (
     ADDRESS_ERROR,
     COMMAND_ERROR,
@@ -33,6 +33,7 @@ __all__ = [
     "DELTA",
     "Module",
     "SimTime",
+    "ZERO_TIME",
     "PS",
     "NS",
     "US",

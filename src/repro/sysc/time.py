@@ -66,7 +66,11 @@ class SimTime:
     # -- arithmetic -------------------------------------------------------- #
 
     def __add__(self, other: "SimTime") -> "SimTime":
-        return SimTime(self.ps + other.ps)
+        # the hot delay-annotation path (two adds per TLM transaction):
+        # a sum of two non-negative ints needs no rounding or validation
+        result = _new(SimTime)
+        result.ps = self.ps + other.ps
+        return result
 
     def __sub__(self, other: "SimTime") -> "SimTime":
         return SimTime(self.ps - other.ps)
@@ -106,3 +110,10 @@ class SimTime:
             if self.ps % unit == 0:
                 return f"SimTime({self.ps // unit} {suffix})"
         return f"SimTime({self.ps} ps)"
+
+
+_new = object.__new__
+
+#: the zero delay every initiator starts a transaction with; shared,
+#: because nothing assigns ``SimTime.ps`` after construction
+ZERO_TIME = SimTime(0)

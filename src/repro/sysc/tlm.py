@@ -19,7 +19,8 @@ Reproduces the parts of OSCI TLM-2.0 the VP uses:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from repro.errors import BusError
@@ -37,7 +38,6 @@ GENERIC_ERROR = "generic-error"
 INCOMPLETE = "incomplete"
 
 
-@dataclass
 class GenericPayload:
     """A TLM generic payload extended with per-byte security tags.
 
@@ -53,14 +53,24 @@ class GenericPayload:
     DMA gather over a partially tainted destination).  Targets without
     tag state ignore it; the memory updates ``tags`` in place to the
     merged result so the initiator sees what actually landed.
+
+    A slotted class rather than a dataclass: one payload is built per
+    transaction, so construction and attribute access are hot.
     """
 
-    command: str = READ
-    address: int = 0
-    data: bytearray = field(default_factory=bytearray)
-    tags: Optional[bytearray] = None
-    merge_tags: bool = False
-    response: str = INCOMPLETE
+    __slots__ = ("command", "address", "data", "tags", "merge_tags",
+                 "response")
+
+    def __init__(self, command: str = READ, address: int = 0,
+                 data: Optional[bytearray] = None,
+                 tags: Optional[bytearray] = None,
+                 merge_tags: bool = False, response: str = INCOMPLETE):
+        self.command = command
+        self.address = address
+        self.data = bytearray() if data is None else data
+        self.tags = tags
+        self.merge_tags = merge_tags
+        self.response = response
 
     @property
     def length(self) -> int:
@@ -176,18 +186,23 @@ class Router:
 
     Targets are mapped with absolute ranges; the router translates the
     payload address to a target-local offset before forwarding, and
-    restores it afterwards (non-destructive routing).
+    restores it afterwards (non-destructive routing).  A transaction to
+    an unmapped address, or one crossing the end of its target, is
+    answered with ``ADDRESS_ERROR`` like any target-side rejection; the
+    initiator decides what a failed transaction means.
     """
 
     def __init__(self, name: str = "bus", latency: SimTime = SimTime.ns(10)):
         self.name = name
         self.latency = latency
         self._map: List[MapEntry] = []
+        # entry starts in map order, for the bisect decode
+        self._starts: List[int] = []
         self._dmi_providers: dict = {}
         self.transactions_routed = 0
         # MRU decode cache: MMIO traffic clusters on one target (a guest
         # polling a peripheral), making the last entry the overwhelmingly
-        # likely hit before the linear scan
+        # likely hit before the bisect
         self._last_entry: Optional[MapEntry] = None
         # observability; None keeps routing free of metric lookups.  The
         # per-target counter dict is filled lazily because targets may be
@@ -217,6 +232,7 @@ class Router:
                 )
         self._map.append(MapEntry(start, end, socket, name or socket.name))
         self._map.sort(key=lambda e: e.start)
+        self._starts = [entry.start for entry in self._map]
         self._last_entry = None
 
     def register_dmi(self, start: int, size: int, data: bytearray,
@@ -233,25 +249,32 @@ class Router:
 
     def decode(self, address: int) -> MapEntry:
         """Map entry covering ``address`` (raises BusError if unmapped)."""
-        last = self._last_entry
-        if last is not None and last.start <= address < last.end:
-            return last
-        for entry in self._map:
-            if address in entry:
-                self._last_entry = entry
+        index = bisect_right(self._starts, address) - 1
+        if index >= 0:
+            entry = self._map[index]
+            if address < entry.end:
                 return entry
         raise BusError(f"no target mapped at address {address:#010x}", address)
 
     def b_transport(self, payload: GenericPayload, delay: SimTime) -> SimTime:
         """Route a transaction to its target with address translation."""
-        entry = self.decode(payload.address)
-        if payload.address + payload.length > entry.end:
-            raise BusError(
-                f"transaction [{payload.address:#x}, "
-                f"{payload.address + payload.length:#x}) crosses the end of "
-                f"target {entry.name!r}",
-                payload.address,
-            )
+        address = payload.address
+        entry = self._last_entry
+        if entry is None or not entry.start <= address < entry.end:
+            # MRU miss: the entry with the greatest start <= address is
+            # the only candidate (the map has no overlaps)
+            index = bisect_right(self._starts, address) - 1
+            if index < 0:
+                payload.response = ADDRESS_ERROR
+                return delay
+            entry = self._map[index]
+            if address >= entry.end:
+                payload.response = ADDRESS_ERROR
+                return delay
+            self._last_entry = entry
+        if address + len(payload.data) > entry.end:
+            payload.response = ADDRESS_ERROR
+            return delay
         self.transactions_routed += 1
         if self._metrics is not None:
             counter = self._target_counters.get(entry.name)
@@ -260,12 +283,11 @@ class Router:
                     f"tlm.target.{entry.name}.transactions")
                 self._target_counters[entry.name] = counter
             counter.inc()
-        global_address = payload.address
-        payload.address = global_address - entry.start
+        payload.address = address - entry.start
         try:
             return entry.socket.b_transport(payload, delay + self.latency)
         finally:
-            payload.address = global_address
+            payload.address = address
 
     def target_names(self) -> List[str]:
         return [entry.name for entry in self._map]

@@ -42,8 +42,8 @@ from repro.dift.liveness import TaintLiveness
 from repro.errors import BusError
 from repro.sysc.kernel import Kernel
 from repro.sysc.module import Module
-from repro.sysc.time import SimTime
-from repro.sysc.tlm import GenericPayload, InitiatorSocket
+from repro.sysc.time import ZERO_TIME, SimTime
+from repro.sysc.tlm import OK, READ, WRITE, GenericPayload, InitiatorSocket
 from repro.vp import csr as CSR
 from repro.vp import decode as D
 from repro.vp.csr import CsrFile
@@ -382,25 +382,26 @@ class Cpu(Module):
     # ------------------------------------------------------------------ #
 
     def _mmio_read(self, address: int, size: int) -> Tuple[int, int]:
-        payload = GenericPayload.make_read(address, size,
-                                           tagged=self.dift is not None)
-        self.isock.b_transport(payload, SimTime(0))
-        if not payload.ok():
+        tagged = self.dift is not None
+        payload = GenericPayload(READ, address, bytearray(size),
+                                 bytearray(size) if tagged else None)
+        self.isock.b_transport(payload, ZERO_TIME)
+        if payload.response != OK:
             raise BusError(f"MMIO read failed at {address:#010x}", address)
         value = int.from_bytes(payload.data, "little")
-        if self.dift is not None and payload.tags is not None:
-            tag = self.dift.lub_bytes(payload.tags)
-        else:
-            tag = self._bottom
-        return value, tag
+        if tagged:
+            return value, self.dift.lub_bytes(payload.tags)
+        return value, self._bottom
 
     def _mmio_write(self, address: int, size: int, value: int,
                     tag: int) -> None:
-        data = (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
-        tags = bytes([tag]) * size if self.dift is not None else None
-        payload = GenericPayload.make_write(address, data, tags)
-        self.isock.b_transport(payload, SimTime(0))
-        if not payload.ok():
+        data = bytearray((value & ((1 << (8 * size)) - 1)).to_bytes(
+            size, "little"))
+        payload = GenericPayload(
+            WRITE, address, data,
+            bytearray((tag,)) * size if self.dift is not None else None)
+        self.isock.b_transport(payload, ZERO_TIME)
+        if payload.response != OK:
             raise BusError(f"MMIO write failed at {address:#010x}", address)
 
     # ------------------------------------------------------------------ #

@@ -16,7 +16,8 @@ from repro.state import decode_sparse_pages, encode_sparse_pages
 from repro.sysc.kernel import Kernel
 from repro.sysc.module import Module
 from repro.sysc.time import SimTime
-from repro.sysc.tlm import OK, GenericPayload, TargetSocket
+from repro.sysc.tlm import (ADDRESS_ERROR, OK, READ, GenericPayload,
+                             TargetSocket)
 
 
 class Memory(Module):
@@ -71,11 +72,11 @@ class Memory(Module):
     def transport(self, trans: GenericPayload, delay: SimTime) -> SimTime:
         """TLM blocking transport (payload address is memory-local)."""
         address = trans.address
-        length = trans.length
+        length = len(trans.data)
         if address < 0 or address + length > self.size:
-            trans.response = "address-error"
+            trans.response = ADDRESS_ERROR
             return delay
-        if trans.is_read():
+        if trans.command == READ:
             trans.data[:] = self.data[address:address + length]
             if trans.tags is not None and self.tags is not None:
                 trans.tags[:] = self.tags[address:address + length]

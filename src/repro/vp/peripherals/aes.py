@@ -57,8 +57,10 @@ class AesAccelerator(MmioPeripheral):
         self.blocked_writes = 0
         self.encryptions = 0
         self._declassify_to = declassify_to
+        # built once: the clearance check runs per plaintext byte
+        self._in_sink = f"{name}.in"
         self._clearance: Optional[int] = (
-            engine.policy.sink_tag(f"{name}.in") if engine else None)
+            engine.policy.sink_tag(self._in_sink) if engine else None)
 
     # ------------------------------------------------------------------ #
     # checkpoint / restore
@@ -161,7 +163,7 @@ class AesAccelerator(MmioPeripheral):
         """Clearance check on data entering the crypto engine."""
         if self.engine is None or self._clearance is None:
             return True
-        if self.engine.check_sink(f"{self.name}.in", tag):
+        if self.engine.check_sink(self._in_sink, tag):
             return True
         self.blocked_writes += 1
         return False

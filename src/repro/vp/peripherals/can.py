@@ -116,6 +116,7 @@ class CanController(MmioPeripheral):
         self._rx: List[CanFrame] = []
         self.sent: List[CanFrame] = []
         self.blocked_tx = 0
+        self._tx_sink = f"{name}.tx"  # checked per frame byte
         if bus is not None:
             bus.attach(name, self.receive)
 
@@ -203,7 +204,7 @@ class CanController(MmioPeripheral):
         if self.engine is not None:
             for i, tag in enumerate(tags):
                 if not self.engine.check_sink(
-                        f"{self.name}.tx", tag, context=f"frame byte {i}"):
+                        self._tx_sink, tag, context=f"frame byte {i}"):
                     self.blocked_tx += 1
                     return
         frame = CanFrame(data, tags, sender=self.name)

@@ -21,7 +21,8 @@ successfully transmitted bytes.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from collections import deque
+from typing import Callable, Deque, List, Optional, Tuple
 
 from repro.dift.engine import DiftEngine
 from repro.state import decode_bytes, encode_bytes
@@ -35,6 +36,9 @@ IRQ_EN = 0x0C
 
 SIZE = 0x10
 
+#: ``check_sink`` context per TX byte value (recorded sink events carry it)
+_TX_CONTEXT = tuple(f"byte={byte:#04x}" for byte in range(256))
+
 
 class Uart(MmioPeripheral):
     """A polled/interrupt-capable UART."""
@@ -43,7 +47,8 @@ class Uart(MmioPeripheral):
                  engine: Optional[DiftEngine] = None,
                  raise_irq: Optional[Callable[[], None]] = None):
         super().__init__(kernel, name, SIZE, engine)
-        self._rx: List[Tuple[int, int]] = []
+        self._rx: Deque[Tuple[int, int]] = deque()
+        self._tx_sink = f"{name}.tx"
         self.tx_log = bytearray()
         self.tx_tags: List[int] = []
         self.blocked_tx = 0
@@ -85,7 +90,7 @@ class Uart(MmioPeripheral):
         }
 
     def load_state_dict(self, state: dict) -> None:
-        self._rx = [(byte, tag) for byte, tag in state["rx"]]
+        self._rx = deque((byte, tag) for byte, tag in state["rx"])
         self.tx_log = bytearray(decode_bytes(state["tx_log"]))
         self.tx_tags = list(state["tx_tags"])
         self.blocked_tx = state["blocked_tx"]
@@ -98,8 +103,7 @@ class Uart(MmioPeripheral):
     def read(self, offset: int, size: int) -> Tuple[int, int]:
         if offset == RXDATA:
             if self._rx:
-                value, tag = self._rx.pop(0)
-                return value, tag
+                return self._rx.popleft()
             return 0, self.bottom_tag
         if offset == STATUS:
             return (1 if self._rx else 0) | 0x2, self.bottom_tag
@@ -112,7 +116,7 @@ class Uart(MmioPeripheral):
             byte = value & 0xFF
             if self.engine is not None:
                 allowed = self.engine.check_sink(
-                    f"{self.name}.tx", tag, context=f"byte={byte:#04x}")
+                    self._tx_sink, tag, context=_TX_CONTEXT[byte])
                 if not allowed:
                     self.blocked_tx += 1
                     return

@@ -38,9 +38,15 @@ main:
     ret
 """, include_lib=False))
         platform.load(program)
-        from repro.errors import BusError
-        with pytest.raises(BusError):
-            platform.run(max_instructions=100_000)
+        result = platform.run(max_instructions=100_000)
+        assert result.reason == "halt"
+        state = platform.dma.state_dict()
+        assert state["done"] and not state["busy"]
+        assert state["transfers_completed"] == 1
+        # abandoned at the first burst: the cursor never advanced
+        assert state["cur_src"] == 0x40000000
+        assert state["remaining"] == 0
+        assert platform.router.transactions_routed == 4  # the four CSR writes
 
     def test_dma_restart_after_completion(self):
         """The DMA channel is reusable: two back-to-back transfers."""
