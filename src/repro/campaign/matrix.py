@@ -31,8 +31,7 @@ semantics:
   (VP+), ``"none"`` runs the plain VP.  For ``"none"`` the
   ``dift_mode`` axis is meaningless, so those jobs collapse to a single
   ``dift_mode="none"`` job instead of one per mode;
-* ``dift_mode`` — ``"full"``, ``"demand"``, ``"decoupled"`` or
-  ``"decoupled-strict"``;
+* ``dift_mode`` — ``"full"`` or ``"demand"``;
 * ``seed`` — the platform seed (drives sensor data);
 * ``jit`` — ``false``/``true``: run with the trace-compiled fast path.
   Host-side execution strategy only — it changes neither the simulated
@@ -54,14 +53,11 @@ from itertools import product
 from typing import Dict, List, Optional
 
 from repro.bench.workloads import workload_names
+from repro.vp.cpu import DIFT_MODES
 
 MATRIX_SCHEMA = "repro.campaign.matrix/1"
 
 POLICIES = ("default", "none")
-DIFT_MODES = ("full", "demand", "decoupled", "decoupled-strict")
-#: the lean default sweep for :func:`full_matrix`; the decoupled modes
-#: are opt-in axis values (nightly CI sweeps them explicitly)
-DEFAULT_SWEEP_MODES = ("full", "demand")
 SCALES = ("quick", "full")
 #: failure-injection hooks understood by the worker (plus ``flaky:N``)
 INJECT_KINDS = ("crash", "die", "hang")
@@ -281,7 +277,7 @@ def load_matrix(path: str) -> Matrix:
     return parse_matrix(document, source=path)
 
 
-def full_matrix(dift_modes=DEFAULT_SWEEP_MODES, **defaults) -> Matrix:
+def full_matrix(dift_modes=DIFT_MODES, **defaults) -> Matrix:
     """The whole-registry matrix: every workload × the given DIFT modes."""
     return Matrix(axes={"workload": workload_names(),
                         "policy": ["default"],

@@ -36,6 +36,7 @@ from repro.asm import assemble, disassemble
 from repro.dift.engine import RAISE, RECORD
 from repro.policy.serialize import policy_from_dict
 from repro.vp.config import PlatformConfig
+from repro.vp.cpu import DIFT_MODES
 from repro.vp.platform import Platform
 
 
@@ -203,7 +204,13 @@ def _cmd_run(args) -> int:
                             obs=obs, dift_mode=args.dift_mode,
                             jit=args.jit,
                             record_events=args.record_events)
-    platform = Platform.from_config(config)
+    try:
+        platform = Platform.from_config(config)
+    except ValueError as exc:
+        # a configuration the platform rejects (e.g. demand or jit
+        # together with --record-events): a usage error, not a finding
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     platform.load(program)
     if args.uart_input:
         platform.uart.feed(args.uart_input.encode())
@@ -717,23 +724,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-instructions", type=int, default=None)
     p.add_argument("--record", action="store_true",
                    help="record violations instead of raising")
-    p.add_argument("--dift-mode",
-                   choices=("full", "demand", "decoupled",
-                            "decoupled-strict"),
-                   default="full",
+    p.add_argument("--dift-mode", choices=DIFT_MODES, default="full",
                    help="DIFT execution mode: 'demand' skips tag "
                         "bookkeeping while the machine holds no taint "
-                        "(identical detections, lower overhead); "
-                        "'decoupled' runs tag propagation on an "
-                        "asynchronous monitor fed by an instruction "
-                        "event stream (violations surface at quantum "
-                        "boundaries); 'decoupled-strict' drains the "
-                        "stream per instruction for paper-exact trap "
-                        "timing")
+                        "(identical detections, lower overhead)")
     p.add_argument("--record-events", metavar="FILE",
                    help="write the instruction event stream to FILE as "
                         "a repro.dift.events/1 artifact for offline "
-                        "re-analysis (implies --record; needs a policy)")
+                        "re-analysis (implies --record; needs a policy "
+                        "and --dift-mode full, no --jit)")
     p.add_argument("--jit", action="store_true",
                    help="enable the trace-compiled fast path (identical "
                         "simulation results, higher MIPS)")
@@ -748,10 +747,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_table2)
 
     p = sub.add_parser("casestudy", help="run the Section VI-A case study")
-    p.add_argument("--dift-mode",
-                   choices=("full", "demand", "decoupled",
-                            "decoupled-strict"),
-                   default="full",
+    p.add_argument("--dift-mode", choices=DIFT_MODES, default="full",
                    help="DIFT execution mode for every scenario platform")
     _add_obs_options(p)
     p.set_defaults(fn=_cmd_casestudy)
@@ -929,10 +925,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--plain", action="store_true",
                     help="with --workload: run without DIFT")
-    sp.add_argument("--dift-mode",
-                    choices=("full", "demand", "decoupled",
-                             "decoupled-strict"),
-                    default="full")
+    sp.add_argument("--dift-mode", choices=DIFT_MODES, default="full")
     sp.add_argument("--policy", metavar="FILE",
                     help="with --source: JSON policy file (enables DIFT)")
     sp.add_argument("--base", type=lambda x: int(x, 0), default=0)
@@ -964,9 +957,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="verify snapshot-resume replay equivalence (fresh process)")
     p.add_argument("--workloads", nargs="*", metavar="NAME",
                    help="bench-registry workloads (default: all)")
-    p.add_argument("--modes", nargs="*",
-                   choices=("plain", "full", "demand", "decoupled"),
-                   default=["plain", "full", "demand", "decoupled"],
+    # the replay suite's REPLAY_MODES, spelled out here so building the
+    # parser does not import the verification package
+    replay_modes = ("plain",) + DIFT_MODES
+    p.add_argument("--modes", nargs="*", choices=replay_modes,
+                   default=list(replay_modes),
                    help="engine/DIFT variants to sweep")
     p.add_argument("--pause-at", type=int, default=9000, metavar="N",
                    help="snapshot point (instructions retired)")

@@ -1,21 +1,15 @@
 """The ``repro.dift.events/1`` instruction-event stream.
 
-This is the FIFO vocabulary between the ISS (producer) and the decoupled
-DIFT monitor (consumer) — the same minimal packet set the gem5
+This is the vocabulary between the recording ISS (producer) and the
+offline DIFT monitor (consumer) — the same minimal packet set the gem5
 monitoring-core exemplars define: enough to replay *tag propagation and
 clearance checking*, not the architectural computation.  The ISS already
 knows every value it computes; the monitor only needs to know *which*
 instruction ran (pc + encoding), where memory traffic went (address), and
 what crossed the taint boundary (MMIO read tags, non-ISS taint writes,
-peripheral sink checks).
-
-The same byte sequence serves two transports:
-
-* **live** — an in-memory queue drained at quantum-end synchronization
-  points (or per-instruction in strict mode);
-* **on disk** — a versioned artifact written by ``--record-events`` and
-  replayed by ``repro reanalyze`` under arbitrary policies without
-  re-running the guest.
+peripheral sink checks).  Streams are written by ``--record-events`` and
+replayed by ``repro reanalyze`` under arbitrary policies without
+re-running the guest.
 
 Wire format: one header line of deterministic JSON (sorted keys, compact
 separators, ``\\n``-terminated), then packed little-endian packets — a
@@ -24,10 +18,8 @@ type byte followed by the fields of that packet type — and a terminal
 are both rejected with a :class:`StreamError` naming the byte offset.
 
 The header embeds the platform configuration *minus* ``dift_mode``: how
-DIFT was executed (inline vs. decoupled) is a host-side strategy, not a
-property of the simulated machine, and scrubbing it makes streams from
-inline and decoupled runs of the same guest byte-identical — which the
-cross-mode tests assert.
+DIFT was executed is a host-side strategy, not a property of the
+simulated machine, so the mode is kept out of the artifact.
 """
 
 from __future__ import annotations

@@ -1,45 +1,20 @@
-"""Decoupled DIFT monitor: tag propagation as an event-stream consumer.
+"""Offline DIFT monitor: tag propagation replayed from an event stream.
 
 The gem5 monitoring-core exemplars (``dift_full.c``) and Wahab et al.'s
 hardware-assisted ARM ecosystem run DIFT on a *separate core* fed by an
-instruction-event FIFO.  :class:`DiftMonitor` reproduces that
-architecture in the VP: the ISS (``dift_mode="decoupled"``) executes the
-guest *architecturally only* — register and CSR tags stay untouched —
-and pushes one packet per retired instruction into a FIFO; the monitor
-drains the FIFO, replaying tag propagation and the three
-execution-clearance checks of paper Section V-B2 against its own shadow
-state, byte-for-byte the semantics of the inline ``Cpu._interp_dift``
-loop.
+instruction-event FIFO.  :class:`DiftMonitor` is that consumer for
+recorded ``repro.dift.events/1`` streams: it replays tag propagation and
+the three execution-clearance checks of paper Section V-B2 against its
+own shadow state, byte-for-byte the semantics of the inline
+``Cpu._interp_dift`` loop that recorded the stream.
 
-Two synchronization disciplines:
-
-* **async** (default): the FIFO is drained at quantum-end boundaries.
-  The core may run architecturally ahead of a violation, but *all* tag
-  state is monitor-owned, so on a violating run the shadow state freezes
-  at exactly the inline stopping point — violation sets, register/CSR
-  tags and the RAM shadow are differentially asserted identical to
-  inline full DIFT.
-* **strict**: the core blocks on the FIFO after every packet, restoring
-  paper-exact trap timing (same trap PC, same retired-instruction
-  count) at the cost of a drain per instruction.
-
-The only points where the core must *wait* for the monitor even in
-async mode are MMIO accesses: a bus transaction has irreversible
-peripheral side effects, so the fetch/mem-addr clearance checks that
-inline mode performs *before* the transaction are run core-side against
-a fully drained monitor (``mmio_syncs`` counts them).  Live-mode drains
-therefore skip those checks for MMIO packets; offline replay (no core
-around) performs them itself.
-
-The same consumer replays recorded ``repro.dift.events/1`` streams
-offline — :func:`reanalyze_stream` — against the recorded policy or any
+:func:`reanalyze_stream` drives it against the recorded policy or any
 policy sharing its class numbering, without re-running the guest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
 from repro.dift.engine import RECORD, DiftEngine, ViolationRecord
@@ -47,9 +22,7 @@ from repro.dift.events import (
     EV_FAULT_ACCESS,
     EV_LOAD,
     EV_MMIO_LOAD,
-    EV_MMIO_STORE,
     EV_SINK,
-    EV_STEP,
     EV_STORE,
     EV_TAINT,
     EV_TAINT_FILL,
@@ -62,47 +35,25 @@ from repro.vp import csr as CSR
 from repro.vp import decode as D
 from repro.vp.csr import CsrFile
 
-#: FIFO depth histogram buckets (events pending at drain time).
-FIFO_DEPTH_BUCKETS = (1, 64, 512, 4096, 16384, 65536)
-
 
 class DiftMonitor:
-    """Consumes instruction events, owning all DIFT tag state.
+    """Consumes recorded instruction events, owning all DIFT tag state.
 
     Parameters
     ----------
     engine:
-        The :class:`DiftEngine` performing checks (shared with the
-        platform when live; fresh when replaying offline).
+        The :class:`DiftEngine` performing checks.
     store:
-        Per-byte RAM tag store, indexable by offset.  Live this is the
-        platform memory's ``tags`` bytearray (the monitor is the sole
-        ISS-side writer); offline it is a :class:`ShadowTags`.
+        The :class:`ShadowTags` holding the per-byte RAM tags.
     ram_base:
         Guest address of ``store[0]``.
-    strict:
-        Record-keeping only (the *core* decides when to block); stored
-        so snapshots and ``repr`` can report the discipline.
-    live:
-        True when fed by a running core (MMIO checks were done
-        core-side; taint/sink packets are already reflected in shared
-        state).  False for offline stream replay, where the monitor
-        performs every check and applies every packet itself.
-    recorder:
-        Optional :class:`~repro.dift.events.EventWriter`; every consumed
-        packet is written through, making the live FIFO double as the
-        on-disk artifact.
     """
 
-    def __init__(self, engine: DiftEngine, store, ram_base: int = 0,
-                 strict: bool = False, live: bool = True, recorder=None):
+    def __init__(self, engine: DiftEngine, store: ShadowTags,
+                 ram_base: int = 0):
         self.engine = engine
         self.store = store
         self.ram_base = ram_base
-        self.strict = strict
-        self.live = live
-        self.recorder = recorder
-        self.fifo: List[Tuple] = []
         bottom = engine.bottom_tag
         self._bottom = bottom
         self.reg_tags: List[int] = [bottom] * 32
@@ -113,9 +64,6 @@ class DiftMonitor:
         self._cache: Dict[int, D.Decoded] = {}
         self.events_consumed = 0
         self.stopped = False
-        self.fatal_unit = ""
-        self.drains = 0
-        self.mmio_syncs = 0
         execution = engine.policy.execution
         self._fetch_req: Optional[int] = None
         self._branch_req: Optional[int] = None
@@ -126,134 +74,54 @@ class DiftMonitor:
             self._branch_req = engine.policy.tag_of(execution.branch)
         if execution.mem_addr is not None:
             self._memaddr_req = engine.policy.tag_of(execution.mem_addr)
-        # observability (None = disabled, zero-cost)
-        self._m_depth = None
-        self._m_wall = None
 
-    def attach_obs(self, obs) -> None:
-        """Attach metrics: FIFO depth and drain latency histograms."""
-        from repro.obs.metrics import QUANTUM_WALL_US_BUCKETS
-        self._m_depth = obs.metrics.histogram("monitor.fifo_depth",
-                                              FIFO_DEPTH_BUCKETS)
-        self._m_wall = obs.metrics.histogram("monitor.drain_wall_us",
-                                             QUANTUM_WALL_US_BUCKETS)
+    def consume(self, events) -> int:
+        """Apply ``events`` in order; returns the number applied.
 
-    # ------------------------------------------------------------------ #
-    # producer-side entry points
-    # ------------------------------------------------------------------ #
-
-    def drain(self) -> int:
-        """Consume every pending packet; returns the number applied.
-
-        Empty drains return without touching counters or metrics, so
-        defensive drains (snapshot, taint-ordering guards) leave no
-        trace a replayed run would have to reproduce.  When a check
-        turns fatal the violating packet is still recorded (it is the
-        last packet of the inline stream too) and the run-ahead
-        remainder of the FIFO is discarded unrecorded.
+        Stops after the first packet whose check turns fatal, as the
+        recording run did.
         """
-        fifo = self.fifo
-        if not fifo:
-            return 0
-        if self.stopped:
-            del fifo[:]
-            return 0
-        started = perf_counter() if self._m_wall is not None else 0.0
-        if self._m_depth is not None:
-            self._m_depth.observe(len(fifo))
-        recorder = self.recorder
+        apply = self._apply
         applied = 0
-        n = 0
-        depth = len(fifo)
-        while n < depth:
-            ev = fifo[n]
-            n += 1
-            wire = self._apply(ev)
-            if recorder is not None:
-                recorder.write(wire)
-            self.events_consumed += 1
+        for ev in events:
+            apply(ev)
             applied += 1
             if self.stopped:
                 break
-        del fifo[:]
-        self.drains += 1
-        if self._m_wall is not None:
-            self._m_wall.observe((perf_counter() - started) * 1e6)
+        self.events_consumed += applied
         return applied
-
-    def note_taint(self, offset: int, length: int, tags) -> None:
-        """Memory taint listener: record a non-ISS tag write, in order.
-
-        Drains first: any queued instruction packets predate this write,
-        and their stores must land in the shadow before the new tags
-        (live they already share the store, but the recorded stream must
-        carry the same order).  ``tags`` is an int (uniform fill) or a
-        per-byte sequence, matching :meth:`Memory.set_taint_listener`.
-        """
-        self.drain()
-        if isinstance(tags, int):
-            self.fifo.append((EV_TAINT_FILL, offset, length, tags))
-        else:
-            self.fifo.append((EV_TAINT, offset, bytes(tags)))
-
-    def halt_consume(self, fatal_unit: str) -> None:
-        """Core-side fatal stop (MMIO clearance check failed).
-
-        The core already performed and recorded the check; the queued
-        packets — ending with the parity packet for the violating
-        instruction — are written through unapplied so the recorded
-        stream stays byte-identical to an inline run, and the monitor
-        freezes.
-        """
-        if self.recorder is not None:
-            self.recorder.write_many(self.fifo)
-        del self.fifo[:]
-        self.stopped = True
-        self.fatal_unit = fatal_unit
 
     # ------------------------------------------------------------------ #
     # packet application
     # ------------------------------------------------------------------ #
 
-    def _stop(self, unit: str) -> None:
-        self.stopped = True
-        self.fatal_unit = unit
-
-    def _apply(self, ev: Tuple) -> Tuple:
-        """Apply one packet; returns the packet to record (the fetch
-        parity rewrite is the only transformation)."""
+    def _apply(self, ev: Tuple) -> None:
         t = ev[0]
         if t <= EV_FAULT_ACCESS:
-            return self._apply_instr(ev)
-        if t == EV_TRAP:
+            self._apply_instr(ev)
+        elif t == EV_TRAP:
             if self._branch_req is not None:
                 htag = self.csr_tags.get(CSR.MTVEC, self._bottom)
                 if not self.engine.flow[htag][self._branch_req]:
                     if not self.engine.check_execution(
                             "branch", htag, self._branch_req, ev[1]):
-                        self._stop("branch")
-                        return ev
+                        self.stopped = True
+                        return
             self.csr_tags[CSR.MEPC] = self._bottom
-            return ev
-        if t == EV_TAINT_FILL:
-            if not self.live:
-                self.store.fill_range(ev[1], ev[2], ev[3])
-            return ev
-        if t == EV_TAINT:
-            if not self.live:
-                self.store.set_range(ev[1], ev[2])
-            return ev
-        if t == EV_SINK:
-            if not self.live:
-                __, unit, tag, required, context, pc = ev
-                if self.engine.policy.has_sink(unit):
-                    self.engine.check_sink(unit, tag, context, pc)
-                else:
-                    self.engine.check_flow(tag, required, unit, context, pc)
-            return ev
-        raise ValueError(f"monitor cannot apply event type {t}")
+        elif t == EV_TAINT_FILL:
+            self.store.fill_range(ev[1], ev[2], ev[3])
+        elif t == EV_TAINT:
+            self.store.set_range(ev[1], ev[2])
+        elif t == EV_SINK:
+            __, unit, tag, required, context, pc = ev
+            if self.engine.policy.has_sink(unit):
+                self.engine.check_sink(unit, tag, context, pc)
+            else:
+                self.engine.check_flow(tag, required, unit, context, pc)
+        else:
+            raise ValueError(f"monitor cannot apply event type {t}")
 
-    def _apply_instr(self, ev: Tuple) -> Tuple:
+    def _apply_instr(self, ev: Tuple) -> None:
         t = ev[0]
         pc = ev[1]
         word = ev[2]
@@ -263,13 +131,8 @@ class DiftMonitor:
         bottom = self._bottom
         store = self.store
         rt = self.reg_tags
-        # MMIO packets: the live core already ran fetch/mem-addr checks
-        # against a drained monitor before transacting; offline there is
-        # no core, so the monitor performs them here.
-        mmio = t >= EV_MMIO_LOAD
-        checks = not mmio or not self.live
 
-        if checks and self._fetch_req is not None:
+        if self._fetch_req is not None:
             fetch_req = self._fetch_req
             off = pc - self.ram_base
             tsum = (store[off] | store[off + 1] | store[off + 2]
@@ -280,11 +143,8 @@ class DiftMonitor:
                 if not flow[itag][fetch_req]:
                     if not engine.check_execution("fetch", itag, fetch_req,
                                                   pc):
-                        self._stop("fetch")
-                        # inline mode never decodes a fetch-rejected
-                        # instruction, so its stream carries a bare step
-                        # packet here; rewrite for byte identity
-                        return (EV_STEP, pc, word)
+                        self.stopped = True
+                        return
 
         d = self._cache.get(word)
         if d is None:
@@ -294,17 +154,17 @@ class DiftMonitor:
         branch_req = self._branch_req
         memaddr_req = self._memaddr_req
 
-        if mmio:
-            if checks and memaddr_req is not None:
+        if t >= EV_MMIO_LOAD:
+            if memaddr_req is not None:
                 rtag = rt[d[2]]
                 if not flow[rtag][memaddr_req]:
                     if not engine.check_execution("mem-addr", rtag,
                                                   memaddr_req, pc):
-                        self._stop("mem-addr")
-                        return ev
+                        self.stopped = True
+                        return
             if t == EV_MMIO_LOAD and d[1]:
                 rt[d[1]] = ev[4]
-            return ev
+            return
 
         if op <= D.BGEU:
             if op >= D.BEQ:
@@ -313,15 +173,15 @@ class DiftMonitor:
                     if not flow[ctag][branch_req]:
                         if not engine.check_execution("branch", ctag,
                                                       branch_req, pc):
-                            self._stop("branch")
-                            return ev
+                            self.stopped = True
+                            return
             elif op == D.JALR:
                 rtag = rt[d[2]]
                 if branch_req is not None and not flow[rtag][branch_req]:
                     if not engine.check_execution("branch", rtag,
                                                   branch_req, pc):
-                        self._stop("branch")
-                        return ev
+                        self.stopped = True
+                        return
                 if d[1]:
                     rt[d[1]] = bottom
             else:  # JAL / LUI / AUIPC
@@ -333,8 +193,8 @@ class DiftMonitor:
             if memaddr_req is not None and not flow[rtag][memaddr_req]:
                 if not engine.check_execution("mem-addr", rtag, memaddr_req,
                                               pc):
-                    self._stop("mem-addr")
-                    return ev
+                    self.stopped = True
+                    return
             if t != EV_LOAD:
                 raise ValueError(
                     f"step packet at pc={pc:#010x} carries a load opcode")
@@ -354,8 +214,8 @@ class DiftMonitor:
             if memaddr_req is not None and not flow[rtag][memaddr_req]:
                 if not engine.check_execution("mem-addr", rtag, memaddr_req,
                                               pc):
-                    self._stop("mem-addr")
-                    return ev
+                    self.stopped = True
+                    return
             if t != EV_STORE:
                 raise ValueError(
                     f"step packet at pc={pc:#010x} carries a store opcode")
@@ -386,14 +246,13 @@ class DiftMonitor:
                 if not flow[etag][branch_req]:
                     if not engine.check_execution("branch", etag, branch_req,
                                                   pc):
-                        self._stop("branch")
-                        return ev
+                        self.stopped = True
+                        return
 
         elif D.CSRRW <= op <= D.CSRRCI:
             self._apply_csr(d)
 
         # FENCE / ECALL / EBREAK / WFI / ILLEGAL: no tag effects
-        return ev
 
     def _apply_csr(self, d: D.Decoded) -> None:
         """Mirror of ``Cpu._exec_csr`` tag bookkeeping."""
@@ -420,61 +279,28 @@ class DiftMonitor:
             self.reg_tags[rd] = old_tag
 
     # ------------------------------------------------------------------ #
-    # inspection / checkpoint
+    # inspection
     # ------------------------------------------------------------------ #
-
-    def csr_tag(self, csr_addr: int) -> int:
-        return self.csr_tags.get(csr_addr, self._bottom)
 
     def csr_tag_values(self):
         """Explicitly written CSR tags (mirror of ``CsrFile.tag_values``)."""
         return self.csr_tags.values()
 
-    def state_dict(self) -> dict:
-        return {
-            "reg_tags": list(self.reg_tags),
-            "csr_tags": {str(addr): tag
-                         for addr, tag in self.csr_tags.items()},
-            "events_consumed": self.events_consumed,
-            "stopped": self.stopped,
-            "fatal_unit": self.fatal_unit,
-            "drains": self.drains,
-            "mmio_syncs": self.mmio_syncs,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        # in-place restore: any queued packets belong to the pre-restore
-        # timeline (snapshots are taken against a drained monitor)
-        del self.fifo[:]
-        self.reg_tags = list(state["reg_tags"])
-        self.csr_tags = {int(addr): tag
-                         for addr, tag in state["csr_tags"].items()}
-        self.events_consumed = state["events_consumed"]
-        self.stopped = state["stopped"]
-        self.fatal_unit = state["fatal_unit"]
-        self.drains = state["drains"]
-        self.mmio_syncs = state["mmio_syncs"]
-
     def shadow_digest(self) -> str:
         """Canonical digest of the monitor's RAM shadow.
 
-        Live (flat ``bytearray``) and offline (:class:`ShadowTags`)
-        stores of the same run produce the same digest, so a recorded
-        stream's re-analysis can be checked against the live machine
-        without materializing either store flat: the offline store walks
-        its presence summary (O(tainted pages)), the live one pays one
-        C-speed ``count`` per page.  The digest's background is the
-        store's own (an offline store keeps the *recorded* policy's
-        default classification even under an override engine).
+        Equal to :func:`~repro.dift.shadow.shadow_digest` of the live
+        machine's flat RAM shadow when the replay reproduced it, so a
+        recorded stream's re-analysis can be checked against the live run
+        without materializing the offline store flat (the walk is
+        O(tainted pages)).  The background is the store's own fill: the
+        *recorded* policy's default classification, even under an
+        override engine.
         """
-        fill = (self.store.fill if isinstance(self.store, ShadowTags)
-                else self.engine.default_tag)
-        return shadow_digest(self.store, fill)
+        return shadow_digest(self.store, self.store.fill)
 
     def __repr__(self) -> str:
-        mode = "strict" if self.strict else "async"
-        return (f"DiftMonitor({mode}, live={self.live}, "
-                f"consumed={self.events_consumed}, "
+        return (f"DiftMonitor(consumed={self.events_consumed}, "
                 f"stopped={self.stopped})")
 
 
@@ -533,9 +359,7 @@ def reanalyze_stream(path: str, policy=None,
     # the guest ran on the *recorded* machine: its memory started at the
     # recorded policy's default classification
     store = ShadowTags(cfg["ram_size"], fill=recorded.default_tag())
-    monitor = DiftMonitor(engine, store,
-                          ram_base=header.get("ram_base", 0), live=False)
-    monitor.fifo.extend(events)
-    monitor.drain()
+    monitor = DiftMonitor(engine, store, ram_base=header.get("ram_base", 0))
+    monitor.consume(events)
     return ReanalysisResult(header=header, events=len(events),
                             engine=engine, monitor=monitor)

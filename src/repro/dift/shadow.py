@@ -317,9 +317,8 @@ class ShadowTags:
         if hint is not None and hint != tag:
             self._upage[page] = None
 
-    # The decoupled DIFT monitor indexes its tag store per byte
-    # (DMI-style); these aliases let a ShadowTags (offline replay) and a
-    # flat bytearray (live RAM shadow) serve the same code path.
+    # The offline DIFT monitor indexes its tag store per byte, the way
+    # the ISS indexes the flat RAM shadow through its DMI pointer.
     __getitem__ = get
     __setitem__ = set
 
@@ -702,7 +701,7 @@ def shadow_digest(store: Union[ShadowTags, bytearray, bytes],
     the same dense tag image produce the same digest without either
     being materialized flat:
 
-    * a :class:`ShadowTags` (the decoupled monitor's offline store)
+    * a :class:`ShadowTags` (the offline monitor's store)
       walks its presence summary — O(tainted pages);
     * a flat ``bytearray`` (the live RAM shadow) pays one C-speed
       ``count`` per page.

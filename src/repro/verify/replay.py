@@ -28,10 +28,11 @@ from typing import List, Optional, Sequence
 
 from repro.campaign.worker import is_timing_metric
 from repro.state import diff_documents
+from repro.vp.cpu import DIFT_MODES
 
-#: engine/DIFT variants the suite sweeps: the plain VP plus the DIFT
-#: modes (inline full, demand-driven, and the decoupled async monitor)
-REPLAY_MODES = ("plain", "full", "demand", "decoupled")
+#: engine/DIFT variants the suite sweeps: the plain VP plus every DIFT
+#: mode
+REPLAY_MODES = ("plain",) + DIFT_MODES
 
 #: suite defaults: deep enough to cross several quanta and at least one
 #: sensor frame, small enough to keep the full sweep in CI budgets

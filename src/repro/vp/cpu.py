@@ -81,12 +81,9 @@ _BLOCKHIT = "blockhit"
 # DIFT execution modes
 DIFT_FULL = "full"     # every instruction pays the tag bookkeeping
 DIFT_DEMAND = "demand" # fast path while the machine is provably clean
-# Decoupled: the core executes architecturally and emits an event per
-# retired instruction; a DiftMonitor consumes the FIFO, owning all tag
-# state.  Async drains at quantum boundaries; strict drains per packet
-# for paper-exact trap timing.  See repro.dift.monitor.
-DIFT_DECOUPLED = "decoupled"
-DIFT_DECOUPLED_STRICT = "decoupled-strict"
+#: every accepted ``dift_mode``; the CLI, campaign matrix and replay
+#: suite derive their mode lists from this one
+DIFT_MODES = (DIFT_FULL, DIFT_DEMAND)
 
 _MASK32 = 0xFFFFFFFF
 
@@ -104,9 +101,9 @@ class Cpu(Module):
         dift_mode: str = DIFT_FULL,
     ):
         super().__init__(kernel, name)
-        if dift_mode not in (DIFT_FULL, DIFT_DEMAND, DIFT_DECOUPLED,
-                             DIFT_DECOUPLED_STRICT):
-            raise ValueError(f"unknown dift_mode {dift_mode!r}")
+        if dift_mode not in DIFT_MODES:
+            raise ValueError(f"unknown dift_mode {dift_mode!r}; expected "
+                             f"one of {DIFT_MODES}")
         self.dift = dift
         self.dift_mode = dift_mode
         self.clock_period = clock_period
@@ -127,12 +124,9 @@ class Cpu(Module):
         # trace compiler; attached by the platform via attach_jit()
         self._jit = None
 
-        # decoupled DIFT monitor (attach_monitor) and the queue events are
-        # emitted into: the monitor's FIFO in decoupled mode, a plain list
-        # pumped into an EventWriter when an inline run records, None
-        # otherwise (emission disabled, zero overhead)
-        self._monitor = None
-        self._mon_strict = False
+        # the queue events are emitted into: a plain list the platform
+        # pumps into an EventWriter when a run records, None otherwise
+        # (emission disabled, zero overhead)
         self._emitq: Optional[list] = None
 
         # DMI into RAM; set by the platform via attach_ram()
@@ -201,17 +195,6 @@ class Cpu(Module):
         ``None`` (the debugger does, to regain per-instruction
         visibility)."""
         self._jit = jit
-
-    def attach_monitor(self, monitor, strict: bool = False) -> None:
-        """Attach a decoupled DIFT monitor (platform wiring).
-
-        Switches the run loop to :meth:`_interp_decoupled`: architectural
-        execution only, one packet per retired instruction into the
-        monitor's FIFO.  ``strict`` blocks on the FIFO after every packet
-        (paper-exact trap timing)."""
-        self._monitor = monitor
-        self._mon_strict = strict
-        self._emitq = monitor.fifo
 
     def set_event_queue(self, queue: Optional[list]) -> None:
         """Install an event queue on the inline DIFT loop (recording)."""
@@ -339,16 +322,7 @@ class Cpu(Module):
         mtvec = self.csr[CSR.MTVEC]
         if self._emitq is not None:
             self._emitq.append((EV_TRAP, self.pc, cause))
-        monitor = self._monitor
-        if monitor is not None:
-            # the monitor owns the mtvec tag and performs the handler
-            # clearance check when it applies the trap packet — now in
-            # strict mode (so it can veto), at the next drain in async
-            if self._mon_strict:
-                monitor.drain()
-                if monitor.stopped:
-                    return False
-        elif self.dift is not None and self._branch_req is not None:
+        if self.dift is not None and self._branch_req is not None:
             handler_tag = self.csr.tag(CSR.MTVEC)
             if not self.dift.flow[handler_tag][self._branch_req]:
                 if not self.dift.check_execution(
@@ -357,8 +331,7 @@ class Cpu(Module):
         self.csr[CSR.MEPC] = self.pc
         self.csr[CSR.MCAUSE] = cause
         self.csr[CSR.MTVAL] = tval
-        if monitor is None:
-            self.csr.set_tag(CSR.MEPC, self._bottom)
+        self.csr.set_tag(CSR.MEPC, self._bottom)
         mstatus = self.csr[CSR.MSTATUS]
         mpie = CSR.MSTATUS_MPIE if mstatus & CSR.MSTATUS_MIE else 0
         self.csr[CSR.MSTATUS] = mpie  # MIE cleared, MPIE = old MIE
@@ -434,11 +407,6 @@ class Cpu(Module):
 
     def _run_core(self, n: int) -> Tuple[int, str]:
         """Pick the execution loop for the configured DIFT mode."""
-        if self._monitor is not None:
-            executed, reason = self._interp_decoupled(n)
-            if reason == _IRQWAIT:
-                reason = QUANTUM
-            return executed, reason
         if self.dift is None:
             return self._run_plain(n)
         live = self._live
@@ -962,9 +930,7 @@ class Cpu(Module):
         executed = 0
         reason = QUANTUM
         frombytes = int.from_bytes
-        # event-stream recording (None on un-recorded runs; the emission
-        # shapes are kept identical to _interp_decoupled's so inline and
-        # decoupled runs of the same guest record byte-identical streams)
+        # event-stream recording (None on un-recorded runs)
         emitq = self._emitq
         # demand mode only: record which RAM pages receive non-bottom tags
         # so reclaiming the clean state scans dirty pages, not all of RAM.
@@ -1417,416 +1383,6 @@ class Cpu(Module):
         csr.cycle += executed
         return executed, reason
 
-    # ---- decoupled DIFT (monitor consumes the event FIFO) ----------------- #
-
-    def _interp_decoupled(self, n: int) -> Tuple[int, str]:
-        """Architectural execution only; all tag state lives in the monitor.
-
-        Mirrors :meth:`_interp_plain` (no per-instruction tag work, no
-        JIT/liveness hooks) plus one packet append per retired
-        instruction, shaped identically to :meth:`_interp_dift`'s
-        recording emissions so both produce byte-identical streams.  The
-        core synchronizes with the monitor only at MMIO accesses — a bus
-        transaction has irreversible peripheral side effects, so the
-        fetch/mem-addr clearance checks inline mode performs *before*
-        the transaction run here, core-side, against a fully drained
-        monitor — and, in strict mode, after every packet.
-        """
-        monitor = self._monitor
-        assert monitor is not None
-        emitq = self._emitq
-        assert emitq is not None
-        emit = emitq.append
-        strict = self._mon_strict
-        dift = self.dift
-        assert dift is not None
-        regs = self.regs
-        ram = self.ram
-        mtags = self.ram_tags
-        assert mtags is not None
-        mon_tags = monitor.reg_tags
-        ram_base = self.ram_base
-        ram_end = self.ram_end
-        cache = self._decode_cache
-        decode = D.decode
-        csr = self.csr
-        lub = dift.lub
-        flow = dift.flow
-        bottom = self._bottom
-        zero_is_bottom = bottom == 0
-        fetch_req = self._fetch_req
-        memaddr_req = self._memaddr_req
-        pc = self.pc
-        executed = 0
-        reason = QUANTUM
-        frombytes = int.from_bytes
-
-        while executed < n:
-            if self._take_irq:
-                self.pc = pc
-                if not self._take_interrupt():
-                    # strict only: the monitor vetoed the handler entry
-                    reason = SECURITY
-                    break
-                pc = self.pc
-
-            if pc < ram_base or pc + 4 > ram_end or pc & 3:
-                self.pc = pc
-                cause = (CSR.CAUSE_INSTR_MISALIGNED if pc & 3
-                         else CSR.CAUSE_INSTR_FAULT)
-                stop = self._fault(cause, pc)
-                if stop:
-                    reason = stop
-                    break
-                pc = self.pc
-                continue
-            off = pc - ram_base
-            word = frombytes(ram[off:off + 4], "little")
-            d = cache.get(word)
-            if d is None:
-                d = decode(word)
-                cache[word] = d
-                self.decode_misses += 1
-            op = d[0]
-            executed += 1
-            next_pc = pc + 4
-
-            if op <= D.BGEU or op > D.SW:  # non-memory: one step packet
-                emit((EV_STEP, pc, word))
-                if strict:
-                    monitor.drain()
-                    if monitor.stopped:
-                        if monitor.fatal_unit == "fetch":
-                            executed -= 1  # inline never retires it
-                        reason = SECURITY
-                        break
-
-            if op <= D.BGEU:  # control transfer group
-                if op >= D.BEQ:
-                    a = regs[d[2]]
-                    b = regs[d[3]]
-                    if op == D.BEQ:
-                        taken = a == b
-                    elif op == D.BNE:
-                        taken = a != b
-                    elif op == D.BLTU:
-                        taken = a < b
-                    elif op == D.BGEU:
-                        taken = a >= b
-                    else:
-                        sa = a - 0x100000000 if a >= 0x80000000 else a
-                        sb = b - 0x100000000 if b >= 0x80000000 else b
-                        taken = sa < sb if op == D.BLT else sa >= sb
-                    if taken:
-                        next_pc = (pc + d[4]) & _MASK32
-                elif op == D.JAL:
-                    if d[1]:
-                        regs[d[1]] = next_pc
-                    next_pc = (pc + d[4]) & _MASK32
-                elif op == D.JALR:
-                    target = (regs[d[2]] + d[4]) & 0xFFFFFFFE
-                    if d[1]:
-                        regs[d[1]] = next_pc
-                    next_pc = target
-                elif op == D.LUI:
-                    if d[1]:
-                        regs[d[1]] = d[4]
-                else:  # AUIPC
-                    if d[1]:
-                        regs[d[1]] = (pc + d[4]) & _MASK32
-
-            elif op <= D.LHU:  # loads
-                addr = (regs[d[2]] + d[4]) & _MASK32
-                size = 4 if op == D.LW else (2 if op in (D.LH, D.LHU) else 1)
-                if ram_base <= addr and addr + size <= ram_end:
-                    emit((EV_LOAD, pc, word, addr))
-                    if strict:
-                        monitor.drain()
-                        if monitor.stopped:
-                            if monitor.fatal_unit == "fetch":
-                                executed -= 1
-                            reason = SECURITY
-                            break
-                    o = addr - ram_base
-                    if op == D.LW:
-                        value = frombytes(ram[o:o + 4], "little")
-                    elif op == D.LBU:
-                        value = ram[o]
-                    elif op == D.LB:
-                        value = ram[o]
-                        if value >= 0x80:
-                            value += 0xFFFFFF00
-                    elif op == D.LHU:
-                        value = ram[o] | (ram[o + 1] << 8)
-                    else:  # LH
-                        value = ram[o] | (ram[o + 1] << 8)
-                        if value >= 0x8000:
-                            value += 0xFFFF0000
-                    if d[1]:
-                        regs[d[1]] = value & _MASK32
-                else:
-                    # MMIO synchronization point: catch the monitor up,
-                    # then run the pre-transaction clearance checks that
-                    # inline mode would have done, against monitor state
-                    self.pc = pc
-                    monitor.mmio_syncs += 1
-                    monitor.drain()
-                    if monitor.stopped:
-                        executed -= 1  # this instruction never transacted
-                        reason = SECURITY
-                        break
-                    if fetch_req is not None:
-                        tsum = (mtags[off] | mtags[off + 1] | mtags[off + 2]
-                                | mtags[off + 3])
-                        if tsum or not zero_is_bottom:
-                            itag = lub[lub[lub[mtags[off]][mtags[off + 1]]]
-                                       [mtags[off + 2]]][mtags[off + 3]]
-                            if not flow[itag][fetch_req]:
-                                if not dift.check_execution(
-                                        "fetch", itag, fetch_req, pc):
-                                    emit((EV_STEP, pc, word))
-                                    monitor.halt_consume("fetch")
-                                    executed -= 1
-                                    reason = SECURITY
-                                    break
-                    rtag = mon_tags[d[2]]
-                    if memaddr_req is not None and \
-                            not flow[rtag][memaddr_req]:
-                        if not dift.check_execution("mem-addr", rtag,
-                                                    memaddr_req, pc):
-                            emit((EV_MMIO_LOAD, pc, word, addr, bottom))
-                            monitor.halt_consume("mem-addr")
-                            reason = SECURITY
-                            break
-                    try:
-                        value, t = self._mmio_read(addr, size)
-                        if op == D.LB and value >= 0x80:
-                            value += 0xFFFFFF00
-                        elif op == D.LH and value >= 0x8000:
-                            value += 0xFFFF0000
-                    except BusError:
-                        emit((EV_FAULT_ACCESS, pc, word, addr))
-                        if strict:
-                            monitor.drain()
-                        stop = self._fault(CSR.CAUSE_LOAD_FAULT, addr)
-                        if stop:
-                            reason = stop
-                            break
-                        pc = self.pc
-                        continue
-                    emit((EV_MMIO_LOAD, pc, word, addr, t))
-                    if strict:
-                        monitor.drain()  # writeback apply; cannot stop
-                    if d[1]:
-                        regs[d[1]] = value & _MASK32
-
-            elif op <= D.SW:  # stores
-                addr = (regs[d[2]] + d[4]) & _MASK32
-                size = 4 if op == D.SW else (1 if op == D.SB else 2)
-                value = regs[d[3]]
-                if ram_base <= addr and addr + size <= ram_end:
-                    emit((EV_STORE, pc, word, addr))
-                    if strict:
-                        monitor.drain()
-                        if monitor.stopped:
-                            if monitor.fatal_unit == "fetch":
-                                executed -= 1
-                            reason = SECURITY
-                            break
-                    o = addr - ram_base
-                    if op == D.SW:
-                        ram[o:o + 4] = value.to_bytes(4, "little")
-                    elif op == D.SB:
-                        ram[o] = value & 0xFF
-                    else:
-                        ram[o] = value & 0xFF
-                        ram[o + 1] = (value >> 8) & 0xFF
-                else:
-                    self.pc = pc
-                    monitor.mmio_syncs += 1
-                    monitor.drain()
-                    if monitor.stopped:
-                        executed -= 1
-                        reason = SECURITY
-                        break
-                    if fetch_req is not None:
-                        tsum = (mtags[off] | mtags[off + 1] | mtags[off + 2]
-                                | mtags[off + 3])
-                        if tsum or not zero_is_bottom:
-                            itag = lub[lub[lub[mtags[off]][mtags[off + 1]]]
-                                       [mtags[off + 2]]][mtags[off + 3]]
-                            if not flow[itag][fetch_req]:
-                                if not dift.check_execution(
-                                        "fetch", itag, fetch_req, pc):
-                                    emit((EV_STEP, pc, word))
-                                    monitor.halt_consume("fetch")
-                                    executed -= 1
-                                    reason = SECURITY
-                                    break
-                    rtag = mon_tags[d[2]]
-                    if memaddr_req is not None and \
-                            not flow[rtag][memaddr_req]:
-                        if not dift.check_execution("mem-addr", rtag,
-                                                    memaddr_req, pc):
-                            emit((EV_MMIO_STORE, pc, word, addr))
-                            monitor.halt_consume("mem-addr")
-                            reason = SECURITY
-                            break
-                    # emitted before the transaction so recorded sink
-                    # checks (fired inside it) follow their cause
-                    emit((EV_MMIO_STORE, pc, word, addr))
-                    try:
-                        self._mmio_write(addr, size, value, mon_tags[d[3]])
-                    except BusError:
-                        if strict:
-                            monitor.drain()
-                        stop = self._fault(CSR.CAUSE_STORE_FAULT, addr)
-                        if stop:
-                            reason = stop
-                            break
-                        pc = self.pc
-                        continue
-                    if strict:
-                        monitor.drain()
-
-            elif op <= D.ANDI:  # immediate ALU
-                a = regs[d[2]]
-                imm = d[4]
-                if op == D.ADDI:
-                    value = (a + imm) & _MASK32
-                elif op == D.ANDI:
-                    value = a & (imm & _MASK32)
-                elif op == D.ORI:
-                    value = a | (imm & _MASK32)
-                elif op == D.XORI:
-                    value = a ^ (imm & _MASK32)
-                elif op == D.SLTIU:
-                    value = 1 if a < (imm & _MASK32) else 0
-                else:  # SLTI
-                    sa = a - 0x100000000 if a >= 0x80000000 else a
-                    value = 1 if sa < imm else 0
-                if d[1]:
-                    regs[d[1]] = value
-
-            elif op <= D.SRAI:  # immediate shifts
-                a = regs[d[2]]
-                sh = d[4]
-                if op == D.SLLI:
-                    value = (a << sh) & _MASK32
-                elif op == D.SRLI:
-                    value = a >> sh
-                else:
-                    sa = a - 0x100000000 if a >= 0x80000000 else a
-                    value = (sa >> sh) & _MASK32
-                if d[1]:
-                    regs[d[1]] = value
-
-            elif op <= D.AND:  # register ALU
-                a = regs[d[2]]
-                b = regs[d[3]]
-                if op == D.ADD:
-                    value = (a + b) & _MASK32
-                elif op == D.SUB:
-                    value = (a - b) & _MASK32
-                elif op == D.AND:
-                    value = a & b
-                elif op == D.OR:
-                    value = a | b
-                elif op == D.XOR:
-                    value = a ^ b
-                elif op == D.SLL:
-                    value = (a << (b & 31)) & _MASK32
-                elif op == D.SRL:
-                    value = a >> (b & 31)
-                elif op == D.SRA:
-                    sa = a - 0x100000000 if a >= 0x80000000 else a
-                    value = (sa >> (b & 31)) & _MASK32
-                elif op == D.SLTU:
-                    value = 1 if a < b else 0
-                else:  # SLT
-                    sa = a - 0x100000000 if a >= 0x80000000 else a
-                    sb = b - 0x100000000 if b >= 0x80000000 else b
-                    value = 1 if sa < sb else 0
-                if d[1]:
-                    regs[d[1]] = value
-
-            elif op <= D.REMU:  # M extension
-                value = _muldiv(op, regs[d[2]], regs[d[3]])
-                if d[1]:
-                    regs[d[1]] = value
-
-            elif op == D.FENCE:
-                pass
-
-            elif op == D.ECALL:
-                self.pc = next_pc
-                outcome = self.ecall_handler(self) if self.ecall_handler \
-                    else None
-                if outcome == "halt":
-                    self.halted = True
-                    csr.instret += executed
-                    csr.cycle += executed
-                    return executed, HALT
-                if outcome is None:
-                    self.pc = pc
-                    stop = self._fault(CSR.CAUSE_ECALL_M, 0)
-                    if stop:
-                        reason = stop
-                        break
-                pc = self.pc
-                continue
-
-            elif op == D.EBREAK:
-                self.pc = pc
-                self.halted = True
-                csr.instret += executed
-                csr.cycle += executed
-                return executed, EBREAK
-
-            elif op == D.MRET:
-                # monitor performed the mepc clearance check when it
-                # applied the step packet (above in strict, at the next
-                # drain in async)
-                mstatus = csr[CSR.MSTATUS]
-                mie = CSR.MSTATUS_MIE if mstatus & CSR.MSTATUS_MPIE else 0
-                csr[CSR.MSTATUS] = mie | CSR.MSTATUS_MPIE
-                self._update_irq()
-                next_pc = csr[CSR.MEPC]
-
-            elif op == D.WFI:
-                self.pc = next_pc
-                csr.instret += executed
-                csr.cycle += executed
-                if self.csr[CSR.MIP] & self.csr[CSR.MIE]:
-                    # pending but globally disabled: end the quantum so
-                    # the kernel can advance time (see _interp_plain)
-                    return executed, _IRQWAIT
-                return executed, WFI
-
-            elif op <= D.CSRRCI:  # CSR group
-                stop = self._exec_csr(d, next_pc)
-                if stop:
-                    reason = stop
-                    break
-                pc = self.pc
-                continue
-
-            else:  # ILLEGAL
-                self.pc = pc
-                stop = self._fault(CSR.CAUSE_ILLEGAL, d[4])
-                if stop:
-                    reason = stop
-                    break
-                pc = self.pc
-                continue
-
-            pc = next_pc
-
-        self.pc = pc
-        csr.instret += executed
-        csr.cycle += executed
-        return executed, reason
-
     # ---- CSR instructions (shared; cold path) ------------------------------ #
 
     def _exec_csr(self, d: D.Decoded, next_pc: int) -> Optional[str]:
@@ -1865,7 +1421,7 @@ class Cpu(Module):
             if not csr.write(csr_addr, new):
                 self.pc = next_pc - 4
                 return self._fault(CSR.CAUSE_ILLEGAL, 0)
-            if self.dift is not None and self._monitor is None:
+            if self.dift is not None:
                 csr.set_tag(csr_addr, new_tag)
             if csr_addr in (CSR.MSTATUS, CSR.MIE, CSR.MIP):
                 self._update_irq()

@@ -38,7 +38,6 @@ from repro.dift.events import (
     EventWriter,
     make_header,
 )
-from repro.dift.monitor import DiftMonitor
 from repro.policy.policy import SecurityPolicy
 from repro.state import SnapshotError
 from repro.sysc.event import Event
@@ -168,11 +167,7 @@ class Platform:
         self.cpu.attach_ram(RAM_BASE, self.memory.data, self.memory.tags)
         self.cpu.ecall_handler = _default_ecall
 
-        decoupled = config.dift_mode in (cpu_mod.DIFT_DECOUPLED,
-                                         cpu_mod.DIFT_DECOUPLED_STRICT)
-        if decoupled and self.engine is None:
-            raise ValueError(
-                f"dift_mode={config.dift_mode!r} requires a security policy")
+        self._recorder: Optional[EventWriter] = None
         if config.record_events is not None:
             if self.engine is None:
                 raise ValueError(
@@ -188,37 +183,24 @@ class Platform:
                 raise ValueError(
                     "record_events is incompatible with dift_mode='demand' "
                     "(both claim the memory taint listener); record with "
-                    "'full' or a decoupled mode")
-
-        self.monitor: Optional[DiftMonitor] = None
-        self._recorder: Optional[EventWriter] = None
-        if config.record_events is not None:
+                    "dift_mode='full'")
+            if config.jit:
+                raise ValueError(
+                    "record_events is incompatible with jit: compiled "
+                    "blocks emit no event packets")
             header = make_header(config, extra={"ram_base": RAM_BASE})
             self._recorder = EventWriter(config.record_events, header)
-        if decoupled:
-            strict = config.dift_mode == cpu_mod.DIFT_DECOUPLED_STRICT
-            self.monitor = DiftMonitor(self.engine, self.memory.tags,
-                                       ram_base=RAM_BASE, strict=strict,
-                                       live=True, recorder=self._recorder)
-            self.cpu.attach_monitor(self.monitor, strict=strict)
-            # The monitor is the sole ISS-side tag writer; host-side tag
-            # writes (loader classification, DMA) order through it —
-            # wired before load() so the loader's writes are captured.
-            self.memory.set_taint_listener(self.monitor.note_taint)
-        elif self._recorder is not None:
-            # inline-full recording: the CPU appends packets to a plain
-            # queue that _cpu_process pumps into the writer per quantum
+            # the CPU appends packets to a plain queue that _cpu_process
+            # pumps into the writer per quantum; host-side tag writes
+            # (loader classification, DMA) and peripheral checks join it
+            # in order — wired before load() so the loader's writes are
+            # captured
             self.cpu.set_event_queue([])
             self.memory.set_taint_listener(self._record_taint)
-        if self._recorder is not None:
             self.engine.set_check_recorder(self._record_check)
 
         self.jit: Optional[JitEngine] = None
-        # The trace compiler folds tag propagation into compiled blocks,
-        # which neither emits packets nor routes tag writes through the
-        # monitor — recording and decoupled runs silently fall back to
-        # the interpreter (same machine, host-side strategy only).
-        if config.jit and not decoupled and config.record_events is None:
+        if config.jit:
             # True → default threshold; an int sets it directly (bool is
             # an int subclass, so the isinstance order matters)
             if isinstance(config.jit, bool):
@@ -397,15 +379,6 @@ class Platform:
                 # materialized-page count)
                 metrics.set_gauge_fn("shadow.materialized_pages",
                                      lambda: len(live.dirty_pages))
-        monitor = self.monitor
-        if monitor is not None:
-            monitor.attach_obs(obs)
-            metrics.set_gauge_fn("monitor.events_consumed",
-                                 lambda: monitor.events_consumed)
-            metrics.set_gauge_fn("monitor.drains",
-                                 lambda: monitor.drains)
-            metrics.set_gauge_fn("monitor.mmio_syncs",
-                                 lambda: monitor.mmio_syncs)
 
     def _on_memory_write(self, offset: int, length: int) -> None:
         """Memory write listener: invalidate compiled code the write hits."""
@@ -442,11 +415,7 @@ class Platform:
 
     def _tagged_regs(self) -> int:
         bottom = self.engine.bottom_tag
-        # in decoupled modes the monitor owns the register tags (the
-        # core's own tag file stays at bottom)
-        tags = (self.monitor.reg_tags if self.monitor is not None
-                else self.cpu.tags)
-        return sum(1 for tag in tags if tag != bottom)
+        return sum(1 for tag in self.cpu.tags if tag != bottom)
 
     def _tagged_mem_bytes(self) -> int:
         # Spread is measured against the policy *default* classification:
@@ -556,14 +525,7 @@ class Platform:
                 quantum = min(quantum, remaining)
             executed, reason = cpu.run(quantum)
             self.total_instructions += executed
-            if self.monitor is not None:
-                # quantum-end synchronization: the monitor consumes the
-                # whole FIFO here, so async violations surface at this
-                # boundary (the core may have run ahead architecturally)
-                self.monitor.drain()
-                if self.monitor.stopped:
-                    reason = cpu_mod.SECURITY
-            elif self._recorder is not None:
+            if self._recorder is not None:
                 queue = cpu._emitq
                 if queue:
                     self._recorder.write_many(queue)
@@ -639,13 +601,10 @@ class Platform:
         if recorder is None:
             return None
         if not recorder.closed:
-            if self.monitor is not None:
-                self.monitor.drain()
-            else:
-                queue = self.cpu._emitq
-                if queue:
-                    recorder.write_many(queue)
-                    del queue[:]
+            queue = self.cpu._emitq
+            if queue:
+                recorder.write_many(queue)
+                del queue[:]
             recorder.close()
         return recorder.path
 
@@ -665,12 +624,6 @@ class Platform:
         run (warm-start boot snapshots), after a ``pause_at`` stop, or
         after any completed run.
         """
-        if self.monitor is not None:
-            # quantum boundaries leave the FIFO empty by construction;
-            # drain defensively so the snapshot never carries pending
-            # packets (an empty drain leaves no bookkeeping trace, so
-            # replay determinism is preserved)
-            self.monitor.drain()
         kernel_state = self.kernel.state_dict(self._snapshot_events())
         # A paused CPU parks on the private resume event.  Record it at
         # the *front* of the runnable list instead: on resume it must
@@ -701,8 +654,6 @@ class Platform:
         }
         if self.engine is not None:
             modules["engine"] = self.engine.state_dict()
-        if self.monitor is not None:
-            modules["monitor"] = self.monitor.state_dict()
         live = self.cpu.liveness
         if live is not None:
             modules["liveness"] = live.state_dict()
@@ -745,10 +696,6 @@ class Platform:
         if ("engine" in modules) != (self.engine is not None):
             raise SnapshotError(
                 "snapshot and platform disagree on DIFT instrumentation")
-        if ("monitor" in modules) != (self.monitor is not None):
-            raise SnapshotError(
-                "snapshot and platform disagree on decoupled monitoring "
-                "(dift_mode mismatch)")
         self.cpu.load_state_dict(modules["cpu"])
         self.memory.load_state_dict(modules["memory"])
         self.router.load_state_dict(modules["router"])
@@ -762,10 +709,6 @@ class Platform:
         self.clint.load_state_dict(modules["clint0"])
         if self.engine is not None:
             self.engine.load_state_dict(modules["engine"])
-        if self.monitor is not None:
-            # after memory: the monitor's live store aliases memory.tags,
-            # which the memory restore refilled in place
-            self.monitor.load_state_dict(modules["monitor"])
         live = self.cpu.liveness
         if live is not None and "liveness" in modules:
             live.load_state_dict(modules["liveness"])
@@ -810,6 +753,12 @@ class Platform:
             document = state_mod.load_document(source)
         else:
             document = state_mod.check_schema(source)
+        mode = document["config"].get("dift_mode")
+        if mode not in cpu_mod.DIFT_MODES:
+            raise SnapshotError(
+                f"snapshot config names dift_mode {mode!r}, which this "
+                f"platform does not support (supported: "
+                f"{', '.join(cpu_mod.DIFT_MODES)})")
         config = PlatformConfig.from_json(document["config"], obs=obs,
                                           jit=jit)
         platform = cls(config)
@@ -833,12 +782,7 @@ class Platform:
 
     def __repr__(self) -> str:
         if self.is_dift:
-            if self.dift_mode == cpu_mod.DIFT_DEMAND:
-                mode = "VP+d"
-            elif self.monitor is not None:
-                mode = "VP+ms" if self.monitor.strict else "VP+m"
-            else:
-                mode = "VP+"
+            mode = "VP+d" if self.dift_mode == cpu_mod.DIFT_DEMAND else "VP+"
         else:
             mode = "VP"
         return f"Platform({mode}, instret={self.cpu.csr.instret})"

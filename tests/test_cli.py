@@ -208,7 +208,6 @@ class TestReanalyzeCli:
         report = tmp_path / "report.json"
         # --record-events implies --record; the guest leaks the HC key
         assert main(["run", str(guest_file), "--policy", str(policy_file),
-                     "--dift-mode", "decoupled",
                      "--record-events", str(stream)]) == 1
         assert "event stream" in capsys.readouterr().out
         assert main(["reanalyze", str(stream),
@@ -234,6 +233,20 @@ class TestReanalyzeCli:
         assert main(["reanalyze", str(stream),
                      "--policy", str(relaxed)]) == 0
         assert "0 violations" in capsys.readouterr().out
+
+    def test_run_rejects_demand_recording(self, guest_file, policy_file,
+                                          tmp_path, capsys):
+        """A configuration the platform rejects is a usage error (exit
+        2, one-line reason), not a traceback or a violation exit."""
+        stream = tmp_path / "run.ev"
+        assert main(["run", str(guest_file), "--policy", str(policy_file),
+                     "--dift-mode", "demand",
+                     "--record-events", str(stream)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: record_events is incompatible with "
+                              "dift_mode='demand'")
+        assert "record with dift_mode='full'" in err
+        assert not stream.exists()
 
     def test_reanalyze_rejects_corrupt_stream(self, tmp_path, capsys):
         bad = tmp_path / "bad.ev"
@@ -312,6 +325,33 @@ class TestSnapshotCli:
                                     "modules": {}}))
         assert main(["snapshot", "resume", str(snap)]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_resume_rejects_retired_dift_mode(self, tmp_path, capsys):
+        """Snapshots of the removed live-monitor modes name a dift_mode
+        this platform no longer builds: rejected with the supported
+        modes, exit 2, before any module is restored."""
+        from repro.state import SnapshotError
+        from repro.vp.platform import Platform
+
+        snap = tmp_path / "snap.json"
+        assert main(["snapshot", "save", "--workload", "qsort",
+                     "-o", str(snap)]) == 0
+        capsys.readouterr()
+        document = json.loads(snap.read_text())
+        document["config"]["dift_mode"] = "decoupled"
+        document["modules"]["monitor"] = {
+            "reg_tags": [0] * 32, "csr_tags": {}, "events_consumed": 0,
+            "stopped": False, "fatal_unit": "", "drains": 0,
+            "mmio_syncs": 0}
+        snap.write_text(json.dumps(document))
+        assert main(["snapshot", "resume", str(snap),
+                     "--workload", "qsort"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: snapshot config names dift_mode "
+                              "'decoupled'")
+        assert "supported: full, demand" in err
+        with pytest.raises(SnapshotError, match="'decoupled'"):
+            Platform.restore(document)
 
     def test_save_requires_exactly_one_input(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -2,9 +2,8 @@
 
 Three layers: packet-level round-trip properties over randomized event
 sequences, file-level writer/reader behaviour including truncation and
-corruption rejection (always naming the byte offset), and the
-cross-mode guarantee — an inline-full run and a decoupled run of the
-same guest record byte-identical streams.
+corruption rejection (always naming the byte offset), and determinism —
+two recordings of the same guest are byte-identical streams.
 """
 
 import json
@@ -111,7 +110,7 @@ class TestPacketRoundTrip:
 
 class TestHeader:
     def test_dift_mode_is_scrubbed(self):
-        header = make_header(PlatformConfig(dift_mode="decoupled"))
+        header = make_header(PlatformConfig(dift_mode="demand"))
         assert "dift_mode" not in header["config"]
         same = make_header(PlatformConfig(dift_mode="full"))
         assert encode_header(header) == encode_header(same)
@@ -237,10 +236,10 @@ class TestWriterReader:
 
 
 # ---------------------------------------------------------------------- #
-# cross-mode byte identity
+# recording determinism
 # ---------------------------------------------------------------------- #
 
-def _record(dift_mode: str, path: str) -> bytes:
+def _record(path: str) -> bytes:
     from repro.bench.table1 import code_injection_policy
     from repro.sw import wk_suite
     from repro.vp.platform import Platform
@@ -248,8 +247,7 @@ def _record(dift_mode: str, path: str) -> bytes:
     program, attacker_input = wk_suite.build_attack(3)
     policy = code_injection_policy(program)
     platform = Platform.from_config(PlatformConfig(
-        policy=policy, engine_mode=RECORD, dift_mode=dift_mode,
-        record_events=path))
+        policy=policy, engine_mode=RECORD, record_events=path))
     platform.load(program)
     platform.uart.feed(attacker_input)
     platform.run(max_instructions=200_000)
@@ -258,18 +256,16 @@ def _record(dift_mode: str, path: str) -> bytes:
         return handle.read()
 
 
-class TestCrossModeByteIdentity:
-    def test_inline_and_decoupled_streams_identical(self, tmp_path):
-        """The stream is a property of the guest execution, not of the
-        DIFT execution strategy: all three recording modes must emit
-        byte-identical artifacts for the same guest (including the
-        violating tail — the attack ends in a fatal fetch check)."""
-        inline = _record("full", str(tmp_path / "inline.ev"))
-        async_ = _record("decoupled", str(tmp_path / "async.ev"))
-        strict = _record("decoupled-strict", str(tmp_path / "strict.ev"))
-        assert inline == async_
-        assert inline == strict
-        header, events = read_stream(str(tmp_path / "inline.ev"))
+class TestRecordingDeterminism:
+    def test_two_inline_recordings_identical(self, tmp_path):
+        """The stream is a property of the guest execution: two
+        recordings of the same guest must be byte-identical artifacts
+        (including the violating tail — the attack ends in a fatal fetch
+        check)."""
+        first = _record(str(tmp_path / "first.ev"))
+        second = _record(str(tmp_path / "second.ev"))
+        assert first == second
+        header, events = read_stream(str(tmp_path / "first.ev"))
         assert events, "stream recorded no events"
         assert "dift_mode" not in header["config"]
         # the stream carries the attack's fatal sink/trap context
