@@ -21,10 +21,19 @@ does not use, or the Table II overhead comparison would be dishonest.
 RAM is accessed through a DMI pointer (``ram``/``ram_tags``) granted by the
 memory module; everything else goes through TLM transactions whose payloads
 carry per-byte tags on the DIFT platform.
+
+:meth:`Cpu.attach_ram` also builds 32-bit views of RAM and its tag shadow
+(``ram32``/``tags32``; native byte order, so the host must be
+little-endian).  Instruction fetch, the fetch clearance and aligned in-RAM
+``lw``/``sw`` read or write one word of each view; misaligned ``lw``/``sw``
+and the sub-word accesses keep the byte path.  A tag word whose four bytes
+are equal is its own LUB, because LUB is idempotent, so only a mixed word
+folds its bytes.
 """
 
 from __future__ import annotations
 
+import sys
 from time import perf_counter
 from typing import Callable, Dict, Optional, Tuple
 
@@ -132,6 +141,8 @@ class Cpu(Module):
         # DMI into RAM; set by the platform via attach_ram()
         self.ram: bytearray = bytearray(0)
         self.ram_tags: Optional[bytearray] = None
+        self.ram32: Optional[memoryview] = None
+        self.tags32: Optional[memoryview] = None
         self.ram_base = 0
         self.ram_end = 0
 
@@ -182,11 +193,29 @@ class Cpu(Module):
 
     def attach_ram(self, base: int, data: bytearray,
                    tags: Optional[bytearray]) -> None:
-        """Grant the DMI pointer into RAM (called by the platform)."""
+        """Grant the DMI pointer into RAM (called by the platform).
+
+        Also builds the 32-bit word views of ``data`` and ``tags`` the
+        ISS loops use for fetch and aligned ``lw``/``sw``.  The views
+        use native byte order, so a big-endian host is rejected here
+        rather than given its own path.  While they exist, the two
+        bytearrays cannot be resized.
+        """
+        if sys.byteorder != "little":
+            raise ValueError(
+                "word-granular DMI needs a little-endian host, but "
+                f"sys.byteorder is {sys.byteorder!r}")
+        if base & 3 or len(data) & 3:
+            raise ValueError(
+                f"DMI RAM at {base:#x} of {len(data)} bytes is not "
+                "word-aligned")
         self.ram_base = base
         self.ram_end = base + len(data)
         self.ram = data
         self.ram_tags = tags
+        self.ram32 = memoryview(data).cast("I")
+        self.tags32 = (memoryview(tags).cast("I") if tags is not None
+                       else None)
 
     def attach_jit(self, jit) -> None:
         """Attach a :class:`repro.vp.jit.JitEngine` (platform wiring).
@@ -388,6 +417,9 @@ class Cpu(Module):
 
     def read_word(self, address: int) -> int:
         off = address - self.ram_base
+        if off < 0 or off + 4 > len(self.ram):
+            raise BusError(f"word read at {address:#010x} is outside RAM",
+                           address)
         return int.from_bytes(self.ram[off:off + 4], "little")
 
     def reg(self, index: int) -> int:
@@ -490,7 +522,6 @@ class Cpu(Module):
         cache = self._decode_cache
         decode = D.decode
         run1 = self._run_core
-        frombytes = int.from_bytes
         executed = 0
         reason = QUANTUM
         while executed < n:
@@ -498,8 +529,7 @@ class Cpu(Module):
             pc = self.pc
             if not self._take_irq and \
                     self.ram_base <= pc <= self.ram_end - 4 and not pc & 3:
-                off = pc - self.ram_base
-                word = frombytes(self.ram[off:off + 4], "little")
+                word = self.ram32[(pc - self.ram_base) >> 2]
                 d = cache.get(word)
                 if d is None:
                     d = decode(word)
@@ -550,6 +580,7 @@ class Cpu(Module):
     def _interp_plain(self, n: int) -> Tuple[int, str]:
         regs = self.regs
         ram = self.ram
+        ram32 = self.ram32
         ram_base = self.ram_base
         ram_end = self.ram_end
         cache = self._decode_cache
@@ -595,8 +626,7 @@ class Cpu(Module):
                     break
                 pc = self.pc
                 continue
-            off = pc - ram_base
-            word = frombytes(ram[off:off + 4], "little")
+            word = ram32[(pc - ram_base) >> 2]
             d = cache.get(word)
             if d is None:
                 d = decode(word)
@@ -688,7 +718,10 @@ class Cpu(Module):
                 if ram_base <= addr and addr + size <= ram_end:
                     o = addr - ram_base
                     if op == D.LW:
-                        value = frombytes(ram[o:o + 4], "little")
+                        if o & 3:
+                            value = frombytes(ram[o:o + 4], "little")
+                        else:
+                            value = ram32[o >> 2]
                     elif op == D.LBU:
                         value = ram[o]
                     elif op == D.LB:
@@ -739,7 +772,10 @@ class Cpu(Module):
                 if ram_base <= addr and addr + size <= ram_end:
                     o = addr - ram_base
                     if op == D.SW:
-                        ram[o:o + 4] = value.to_bytes(4, "little")
+                        if o & 3:
+                            ram[o:o + 4] = value.to_bytes(4, "little")
+                        else:
+                            ram32[o >> 2] = value
                     elif op == D.SB:
                         ram[o] = value & 0xFF
                     else:
@@ -912,7 +948,9 @@ class Cpu(Module):
         regs = self.regs
         tags = self.tags
         ram = self.ram
+        ram32 = self.ram32
         mtags = self.ram_tags
+        tags32 = self.tags32
         assert mtags is not None
         ram_base = self.ram_base
         ram_end = self.ram_end
@@ -981,11 +1019,14 @@ class Cpu(Module):
 
             # --- fetch clearance (Section V-B2b) --- #
             if fetch_req is not None:
-                tsum = (mtags[off] | mtags[off + 1] | mtags[off + 2]
-                        | mtags[off + 3])
-                if tsum or not zero_is_bottom:
-                    itag = lub[lub[lub[mtags[off]][mtags[off + 1]]]
-                               [mtags[off + 2]]][mtags[off + 3]]
+                tw = tags32[off >> 2]
+                if tw or not zero_is_bottom:
+                    # a uniform tag word is its own LUB; only a mixed
+                    # word folds its four bytes
+                    itag = tw & 0xFF
+                    if tw != itag * 0x01010101:
+                        itag = lub[lub[lub[itag][mtags[off + 1]]]
+                                   [mtags[off + 2]]][mtags[off + 3]]
                     if not flow[itag][fetch_req]:
                         self.pc = pc
                         if not dift.check_execution("fetch", itag, fetch_req,
@@ -994,12 +1035,11 @@ class Cpu(Module):
                                 # fetch-rejected instructions are never
                                 # decoded, so the stream carries a bare
                                 # step packet whatever the opcode
-                                emitq.append((EV_STEP, pc, frombytes(
-                                    ram[off:off + 4], "little")))
+                                emitq.append((EV_STEP, pc, ram32[off >> 2]))
                             reason = SECURITY
                             break
 
-            word = frombytes(ram[off:off + 4], "little")
+            word = ram32[off >> 2]
             d = cache.get(word)
             if d is None:
                 d = decode(word)
@@ -1132,9 +1172,17 @@ class Cpu(Module):
                 if in_ram:
                     o = addr - ram_base
                     if op == D.LW:
-                        value = frombytes(ram[o:o + 4], "little")
-                        t = lub[lub[lub[mtags[o]][mtags[o + 1]]]
-                                [mtags[o + 2]]][mtags[o + 3]]
+                        if o & 3:
+                            value = frombytes(ram[o:o + 4], "little")
+                            t = lub[lub[lub[mtags[o]][mtags[o + 1]]]
+                                    [mtags[o + 2]]][mtags[o + 3]]
+                        else:
+                            value = ram32[o >> 2]
+                            tw = tags32[o >> 2]
+                            t = tw & 0xFF
+                            if tw != t * 0x01010101:
+                                t = lub[lub[lub[t][mtags[o + 1]]]
+                                        [mtags[o + 2]]][mtags[o + 3]]
                     elif op == D.LBU:
                         value = ram[o]
                         t = mtags[o]
@@ -1194,11 +1242,15 @@ class Cpu(Module):
                 if in_ram:
                     o = addr - ram_base
                     if op == D.SW:
-                        ram[o:o + 4] = value.to_bytes(4, "little")
-                        mtags[o] = t
-                        mtags[o + 1] = t
-                        mtags[o + 2] = t
-                        mtags[o + 3] = t
+                        if o & 3:
+                            ram[o:o + 4] = value.to_bytes(4, "little")
+                            mtags[o] = t
+                            mtags[o + 1] = t
+                            mtags[o + 2] = t
+                            mtags[o + 3] = t
+                        else:
+                            ram32[o >> 2] = value
+                            tags32[o >> 2] = t * 0x01010101
                     elif op == D.SB:
                         ram[o] = value & 0xFF
                         mtags[o] = t

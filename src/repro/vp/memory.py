@@ -136,6 +136,9 @@ class Memory(Module):
                 self._taint_listener(offset, len(blob), tag)
 
     def read_word(self, offset: int) -> int:
+        if offset < 0 or offset + 4 > self.size:
+            raise BusError(f"word read at offset {offset:#x} is outside "
+                           f"RAM of {self.size} bytes", offset)
         return int.from_bytes(self.data[offset:offset + 4], "little")
 
     def write_word(self, offset: int, value: int,

@@ -143,6 +143,11 @@ class Platform:
         self.config = config
         policy = config.policy
         obs = config.obs
+        ram_size = config.ram_size
+        if not isinstance(ram_size, int) or ram_size <= 0 or ram_size & 3:
+            # the ISS maps RAM and its tag shadow as 32-bit words
+            raise ValueError(f"ram_size must be a positive multiple of 4 "
+                             f"bytes, got {ram_size!r}")
 
         self.kernel = Kernel()
         self.engine: Optional[DiftEngine] = (
