@@ -17,6 +17,15 @@ type byte followed by the fields of that packet type — and a terminal
 ``EV_END`` packet carrying the event count.  Truncation and corruption
 are both rejected with a :class:`StreamError` naming the byte offset.
 
+The codec is table-driven: the eight fixed-size packet types each have
+one ``struct.Struct`` whose format starts with the type byte, so an
+event tuple *is* its packet's field list — ``pack(*ev)`` is the wire
+form and ``unpack_from`` returns the tuple.  :meth:`EventWriter.write_many`
+and :func:`read_stream` use the table inline, a quantum's queue or a
+whole stream per call; :func:`encode_event`/:func:`decode_event` are the
+per-packet reference and handle the variable-size ``taint``, ``sink``
+and ``end`` packets.
+
 The header embeds the platform configuration *minus* ``dift_mode``: how
 DIFT was executed is a host-side strategy, not a property of the
 simulated machine, so the mode is kept out of the artifact.
@@ -42,7 +51,7 @@ EV_STORE = 2         # (pc, word, addr)         RAM store
 EV_MMIO_LOAD = 3     # (pc, word, addr, tag)    MMIO load + payload tag
 EV_MMIO_STORE = 4    # (pc, word, addr)         MMIO store
 EV_FAULT_ACCESS = 5  # (pc, word, addr)         load that bus-faulted
-EV_TRAP = 6          # (pc, cause)              trap entry (pc = mtvec base)
+EV_TRAP = 6          # (pc, cause)              trap entry (pc = trapping pc)
 EV_TAINT_FILL = 7    # (offset, length, tag)    non-ISS uniform tag write
 EV_TAINT = 8         # (offset, tags)           non-ISS per-byte tag write
 EV_SINK = 9          # (unit, tag, required, context, pc)  peripheral check
@@ -56,11 +65,29 @@ _NAMES = {
     EV_END: "end",
 }
 
+# wire formats of the fixed-size packets; the first field is the type byte
+_FIXED_FORMATS = {
+    EV_STEP: "<BII",
+    EV_LOAD: "<BIII",
+    EV_STORE: "<BIII",
+    EV_MMIO_LOAD: "<BIIIB",
+    EV_MMIO_STORE: "<BIII",
+    EV_FAULT_ACCESS: "<BIII",
+    EV_TRAP: "<BII",
+    EV_TAINT_FILL: "<BIIB",
+}
+#: The packet table, indexed by type byte: a ``struct.Struct`` for each
+#: fixed-size packet, ``None`` for the variable-size packets and unused
+#: type bytes.
+_FIXED: Tuple[Optional[struct.Struct], ...] = tuple(
+    struct.Struct(_FIXED_FORMATS[t]) if t in _FIXED_FORMATS else None
+    for t in range(256))
+# the same table as bound methods and sizes, for the batched loops
+_PACK = tuple(s.pack if s else None for s in _FIXED)
+_UNPACK = tuple(s.unpack_from if s else None for s in _FIXED)
+_SIZE = tuple(s.size if s else 0 for s in _FIXED)
+
 _S_II = struct.Struct("<II")
-_S_III = struct.Struct("<III")
-_S_IIIB = struct.Struct("<IIIB")
-_S_IIB = struct.Struct("<IIB")
-_S_I = struct.Struct("<I")
 _S_H = struct.Struct("<H")
 _S_BB = struct.Struct("<BB")
 _S_i = struct.Struct("<i")
@@ -98,25 +125,17 @@ def _enc_str(text: str) -> bytes:
 def encode_event(ev: Tuple) -> bytes:
     """Pack one event tuple into its wire form (type byte + fields)."""
     t = ev[0]
-    head = bytes([t])
-    if t == EV_STEP:
-        return head + _S_II.pack(ev[1], ev[2])
-    if t in (EV_LOAD, EV_STORE, EV_MMIO_STORE, EV_FAULT_ACCESS):
-        return head + _S_III.pack(ev[1], ev[2], ev[3])
-    if t == EV_MMIO_LOAD:
-        return head + _S_IIIB.pack(ev[1], ev[2], ev[3], ev[4])
-    if t == EV_TRAP:
-        return head + _S_II.pack(ev[1], ev[2])
-    if t == EV_TAINT_FILL:
-        return head + _S_IIB.pack(ev[1], ev[2], ev[3])
+    fixed = _FIXED[t] if 0 <= t <= 0xFF else None
+    if fixed is not None:
+        return fixed.pack(*ev)
     if t == EV_TAINT:
         tags = bytes(ev[2])
-        return head + _S_I.pack(ev[1]) + _S_I.pack(len(tags)) + tags
+        return bytes([t]) + _S_II.pack(ev[1], len(tags)) + tags
     if t == EV_SINK:
-        return (head + _enc_str(ev[1]) + _S_BB.pack(ev[2], ev[3])
+        return (bytes([t]) + _enc_str(ev[1]) + _S_BB.pack(ev[2], ev[3])
                 + _enc_str(ev[4]) + _S_i.pack(ev[5]))
     if t == EV_END:
-        return head + _S_Q.pack(ev[1])
+        return bytes([t]) + _S_Q.pack(ev[1])
     raise ValueError(f"unknown event type {t!r}")
 
 
@@ -146,32 +165,15 @@ def decode_event(buf: bytes, pos: int, base: int = 0) -> Tuple[Tuple, int]:
     start = pos
     _need(buf, pos, 1, base)
     t = buf[pos]
+    fixed = _FIXED[t]
+    if fixed is not None:
+        _need(buf, pos, fixed.size, base)
+        return fixed.unpack_from(buf, pos), pos + fixed.size
     pos += 1
-    if t == EV_STEP:
-        _need(buf, pos, _S_II.size, base)
-        pc, word = _S_II.unpack_from(buf, pos)
-        return (t, pc, word), pos + _S_II.size
-    if t in (EV_LOAD, EV_STORE, EV_MMIO_STORE, EV_FAULT_ACCESS):
-        _need(buf, pos, _S_III.size, base)
-        pc, word, addr = _S_III.unpack_from(buf, pos)
-        return (t, pc, word, addr), pos + _S_III.size
-    if t == EV_MMIO_LOAD:
-        _need(buf, pos, _S_IIIB.size, base)
-        pc, word, addr, tag = _S_IIIB.unpack_from(buf, pos)
-        return (t, pc, word, addr, tag), pos + _S_IIIB.size
-    if t == EV_TRAP:
-        _need(buf, pos, _S_II.size, base)
-        pc, cause = _S_II.unpack_from(buf, pos)
-        return (t, pc, cause), pos + _S_II.size
-    if t == EV_TAINT_FILL:
-        _need(buf, pos, _S_IIB.size, base)
-        offset, length, tag = _S_IIB.unpack_from(buf, pos)
-        return (t, offset, length, tag), pos + _S_IIB.size
     if t == EV_TAINT:
-        _need(buf, pos, 8, base)
-        (offset,) = _S_I.unpack_from(buf, pos)
-        (n,) = _S_I.unpack_from(buf, pos + 4)
-        pos += 8
+        _need(buf, pos, _S_II.size, base)
+        offset, n = _S_II.unpack_from(buf, pos)
+        pos += _S_II.size
         _need(buf, pos, n, base)
         return (t, offset, bytes(buf[pos:pos + n])), pos + n
     if t == EV_SINK:
@@ -235,8 +237,12 @@ class EventWriter:
         self.count += 1
 
     def write_many(self, events) -> None:
-        for ev in events:
-            self.write(ev)
+        """Write a batch (one quantum's queue) with a single ``write``."""
+        pack = _PACK
+        parts = [p(*ev) if (p := pack[ev[0]]) is not None
+                 else encode_event(ev) for ev in events]
+        self._fh.write(b"".join(parts))
+        self.count += len(parts)
 
     def close(self) -> None:
         if self.closed:
@@ -267,14 +273,24 @@ def read_stream(path: str) -> Tuple[dict, List[Tuple]]:
         raise StreamError(
             f"corrupt header: schema is not {SCHEMA!r}", 0)
     events: List[Tuple] = []
+    append = events.append
+    unpack = _UNPACK
+    size = _SIZE
+    n = len(blob)
     pos = nl + 1
-    while True:
-        if pos == len(blob):
-            raise StreamError(
-                "truncated event stream: missing terminal packet", pos)
+    while pos < n:
+        t = blob[pos]
+        u = unpack[t]
+        if u is not None:
+            end = pos + size[t]
+            if end > n:
+                raise StreamError("truncated event stream", n)
+            append(u(blob, pos))
+            pos = end
+            continue
         ev, pos = decode_event(blob, pos)
-        if ev[0] == EV_END:
-            if pos != len(blob):
+        if t == EV_END:
+            if pos != n:
                 raise StreamError(
                     "corrupt event stream: data after terminal packet", pos)
             if ev[1] != len(events):
@@ -282,4 +298,5 @@ def read_stream(path: str) -> Tuple[dict, List[Tuple]]:
                     f"corrupt event stream: terminal count {ev[1]} != "
                     f"{len(events)} events", pos - _S_Q.size - 1)
             return header, events
-        events.append(ev)
+        append(ev)
+    raise StreamError("truncated event stream: missing terminal packet", pos)

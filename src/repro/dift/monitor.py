@@ -8,6 +8,12 @@ the three execution-clearance checks of paper Section V-B2 against its
 own shadow state, byte-for-byte the semantics of the inline
 ``Cpu._interp_dift`` loop that recorded the stream.
 
+The RAM shadow is a list of copy-on-taint 4 KiB pages, ``None`` while a
+page still holds the fill tag everywhere, each materialized page paired
+with a ``memoryview.cast("I")`` of its tag words.  Fetch clearance and
+aligned ``lw``/``sw`` read or write one tag word, as the ISS does;
+sub-word and misaligned accesses take a byte path.
+
 :func:`reanalyze_stream` drives it against the recorded policy or any
 policy sharing its class numbering, without re-running the guest.
 """
@@ -27,13 +33,20 @@ from repro.dift.events import (
     EV_TAINT,
     EV_TAINT_FILL,
     EV_TRAP,
+    StreamError,
+    event_name,
     read_stream,
 )
-from repro.dift.shadow import ShadowTags, shadow_digest
+from repro.dift.shadow import PAGE_SIZE, shadow_digest
+from repro.policy.lattice import Tag
 from repro.policy.serialize import policy_from_dict
 from repro.vp import csr as CSR
 from repro.vp import decode as D
 from repro.vp.csr import CsrFile
+
+#: bytes each load/store opcode moves
+_WIDTH = {D.LB: 1, D.LBU: 1, D.SB: 1, D.LH: 2, D.LHU: 2, D.SH: 2,
+          D.LW: 4, D.SW: 4}
 
 
 class DiftMonitor:
@@ -43,17 +56,24 @@ class DiftMonitor:
     ----------
     engine:
         The :class:`DiftEngine` performing checks.
-    store:
-        The :class:`ShadowTags` holding the per-byte RAM tags.
+    ram_size:
+        Bytes of guest RAM the shadow covers; a positive multiple of 4.
+    fill:
+        The tag every RAM byte starts with.
     ram_base:
-        Guest address of ``store[0]``.
+        Guest address of RAM offset 0; word-aligned.
     """
 
-    def __init__(self, engine: DiftEngine, store: ShadowTags,
+    def __init__(self, engine: DiftEngine, ram_size: int, fill: Tag,
                  ram_base: int = 0):
         self.engine = engine
-        self.store = store
+        self.ram_size = ram_size
+        self.fill = fill
         self.ram_base = ram_base
+        n_pages = (ram_size + PAGE_SIZE - 1) // PAGE_SIZE
+        # None = every byte of the page holds ``fill``
+        self._pages: List[Optional[bytearray]] = [None] * n_pages
+        self._words: List[Optional[memoryview]] = [None] * n_pages
         bottom = engine.bottom_tag
         self._bottom = bottom
         self.reg_tags: List[int] = [bottom] * 32
@@ -79,180 +99,216 @@ class DiftMonitor:
         """Apply ``events`` in order; returns the number applied.
 
         Stops after the first packet whose check turns fatal, as the
-        recording run did.
+        recording run did.  A ``load``/``store`` packet addressed outside
+        RAM, an instruction whose fetch clearance would read outside RAM
+        and a taint packet writing outside RAM raise ``ValueError``.
         """
-        apply = self._apply
+        engine = self.engine
+        lub = engine.lub
+        flow = engine.flow
+        check_execution = engine.check_execution
+        bottom = self._bottom
+        zero_is_bottom = bottom == 0
+        rt = self.reg_tags
+        csr_tags = self.csr_tags
+        cache = self._cache
+        decode = D.decode
+        # PAGE_SIZE is 4 KiB: offset o is byte o & 0xFFF of page o >> 12
+        pages = self._pages
+        words = self._words
+        fill = self.fill
+        fill_word = fill * 0x01010101
+        width = _WIDTH
+        ram_base = self.ram_base
+        ram_size = self.ram_size
+        fetch_req = self._fetch_req
+        branch_req = self._branch_req
+        memaddr_req = self._memaddr_req
         applied = 0
         for ev in events:
-            apply(ev)
             applied += 1
-            if self.stopped:
-                break
+            t = ev[0]
+            if t > EV_FAULT_ACCESS:
+                if t == EV_TRAP:
+                    if branch_req is not None:
+                        htag = csr_tags.get(CSR.MTVEC, bottom)
+                        if not flow[htag][branch_req]:
+                            if not check_execution("branch", htag,
+                                                   branch_req, ev[1]):
+                                self.stopped = True
+                                break
+                    csr_tags[CSR.MEPC] = bottom
+                elif t == EV_TAINT_FILL:
+                    self._write(t, ev[1], ev[2], ev[3])
+                elif t == EV_TAINT:
+                    tags = bytes(ev[2])
+                    self._write(t, ev[1], len(tags), tags)
+                elif t == EV_SINK:
+                    __, unit, tag, required, context, pc = ev
+                    if engine.policy.has_sink(unit):
+                        engine.check_sink(unit, tag, context, pc)
+                    else:
+                        engine.check_flow(tag, required, unit, context, pc)
+                else:
+                    raise ValueError(f"monitor cannot apply event type {t}")
+                continue
+
+            pc = ev[1]
+            if fetch_req is not None:
+                off = pc - ram_base
+                if off < 0 or off >= ram_size or off & 3:
+                    raise ValueError(
+                        f"{event_name(t)} packet at pc={pc:#010x} fetches "
+                        f"outside RAM {self._ram_span()}")
+                w = words[off >> 12]
+                if w is None:
+                    tw = fill_word
+                else:
+                    tw = w[(off & 0xFFF) >> 2]
+                if tw or not zero_is_bottom:
+                    # a uniform tag word is its own LUB; only a mixed
+                    # word folds its four bytes
+                    itag = tw & 0xFF
+                    if tw != itag * 0x01010101:
+                        itag = lub[lub[lub[itag][(tw >> 8) & 0xFF]]
+                                   [(tw >> 16) & 0xFF]][tw >> 24]
+                    if not flow[itag][fetch_req]:
+                        if not check_execution("fetch", itag, fetch_req, pc):
+                            self.stopped = True
+                            break
+
+            word = ev[2]
+            d = cache.get(word)
+            if d is None:
+                d = cache[word] = decode(word)
+            op = d[0]
+
+            if t >= EV_MMIO_LOAD:
+                if memaddr_req is not None:
+                    rtag = rt[d[2]]
+                    if not flow[rtag][memaddr_req]:
+                        if not check_execution("mem-addr", rtag,
+                                               memaddr_req, pc):
+                            self.stopped = True
+                            break
+                if t == EV_MMIO_LOAD and d[1]:
+                    rt[d[1]] = ev[4]
+
+            elif op <= D.BGEU:
+                if op >= D.BEQ:
+                    if branch_req is not None:
+                        ctag = lub[rt[d[2]]][rt[d[3]]]
+                        if not flow[ctag][branch_req]:
+                            if not check_execution("branch", ctag,
+                                                   branch_req, pc):
+                                self.stopped = True
+                                break
+                elif op == D.JALR:
+                    rtag = rt[d[2]]
+                    if branch_req is not None and not flow[rtag][branch_req]:
+                        if not check_execution("branch", rtag, branch_req,
+                                               pc):
+                            self.stopped = True
+                            break
+                    if d[1]:
+                        rt[d[1]] = bottom
+                elif d[1]:  # JAL / LUI / AUIPC
+                    rt[d[1]] = bottom
+
+            elif op <= D.SW:  # RAM load or store (MMIO handled above)
+                rtag = rt[d[2]]
+                if memaddr_req is not None and not flow[rtag][memaddr_req]:
+                    if not check_execution("mem-addr", rtag, memaddr_req,
+                                           pc):
+                        self.stopped = True
+                        break
+                is_load = op <= D.LHU
+                if t != (EV_LOAD if is_load else EV_STORE):
+                    raise ValueError(
+                        f"{event_name(t)} packet at pc={pc:#010x} carries "
+                        f"a {'load' if is_load else 'store'} opcode")
+                n = width[op]
+                o = ev[3] - ram_base
+                if o < 0 or o + n > ram_size:
+                    raise ValueError(
+                        f"{event_name(t)} packet at pc={pc:#010x} addresses "
+                        f"{ev[3]:#010x}, outside RAM {self._ram_span()}")
+                i = o & 0xFFF
+                if i + n > 0x1000:
+                    # a misaligned access straddling two pages
+                    if is_load:
+                        tags = self._read(o, n)
+                        tag = tags[0]
+                        for x in tags[1:]:
+                            tag = lub[tag][x]
+                        if d[1]:
+                            rt[d[1]] = tag
+                    else:
+                        self._write(t, o, n, rt[d[3]])
+                elif is_load:
+                    w = words[o >> 12]
+                    if w is None:
+                        tag = fill
+                    elif n == 4 and not i & 3:
+                        tw = w[i >> 2]
+                        tag = tw & 0xFF
+                        if tw != tag * 0x01010101:
+                            tag = lub[lub[lub[tag][(tw >> 8) & 0xFF]]
+                                      [(tw >> 16) & 0xFF]][tw >> 24]
+                    else:
+                        data = pages[o >> 12]
+                        tag = data[i]
+                        if n > 1:
+                            tag = lub[tag][data[i + 1]]
+                            if n == 4:
+                                tag = lub[lub[tag][data[i + 2]]][data[i + 3]]
+                    if d[1]:
+                        rt[d[1]] = tag
+                else:
+                    tag = rt[d[3]]
+                    w = words[o >> 12]
+                    if w is None:
+                        if tag == fill:
+                            continue
+                        w = self._materialize(o >> 12)
+                    if n == 4 and not i & 3:
+                        w[i >> 2] = tag * 0x01010101
+                    else:
+                        data = pages[o >> 12]
+                        data[i] = tag
+                        if n > 1:
+                            data[i + 1] = tag
+                            if n == 4:
+                                data[i + 2] = tag
+                                data[i + 3] = tag
+
+            elif op <= D.SRAI:  # immediate ALU + shifts: copy rs1 tag
+                if d[1]:
+                    rt[d[1]] = rt[d[2]]
+
+            elif op <= D.REMU:  # register ALU + M extension: LUB
+                if d[1]:
+                    rt[d[1]] = lub[rt[d[2]]][rt[d[3]]]
+
+            elif op == D.MRET:
+                if branch_req is not None:
+                    etag = csr_tags.get(CSR.MEPC, bottom)
+                    if not flow[etag][branch_req]:
+                        if not check_execution("branch", etag, branch_req,
+                                               pc):
+                            self.stopped = True
+                            break
+
+            elif D.CSRRW <= op <= D.CSRRCI:
+                self._apply_csr(d)
+
+            # FENCE / ECALL / EBREAK / WFI / ILLEGAL: no tag effects
         self.events_consumed += applied
         return applied
 
     # ------------------------------------------------------------------ #
-    # packet application
+    # packet helpers (off the per-instruction path)
     # ------------------------------------------------------------------ #
-
-    def _apply(self, ev: Tuple) -> None:
-        t = ev[0]
-        if t <= EV_FAULT_ACCESS:
-            self._apply_instr(ev)
-        elif t == EV_TRAP:
-            if self._branch_req is not None:
-                htag = self.csr_tags.get(CSR.MTVEC, self._bottom)
-                if not self.engine.flow[htag][self._branch_req]:
-                    if not self.engine.check_execution(
-                            "branch", htag, self._branch_req, ev[1]):
-                        self.stopped = True
-                        return
-            self.csr_tags[CSR.MEPC] = self._bottom
-        elif t == EV_TAINT_FILL:
-            self.store.fill_range(ev[1], ev[2], ev[3])
-        elif t == EV_TAINT:
-            self.store.set_range(ev[1], ev[2])
-        elif t == EV_SINK:
-            __, unit, tag, required, context, pc = ev
-            if self.engine.policy.has_sink(unit):
-                self.engine.check_sink(unit, tag, context, pc)
-            else:
-                self.engine.check_flow(tag, required, unit, context, pc)
-        else:
-            raise ValueError(f"monitor cannot apply event type {t}")
-
-    def _apply_instr(self, ev: Tuple) -> None:
-        t = ev[0]
-        pc = ev[1]
-        word = ev[2]
-        engine = self.engine
-        lub = engine.lub
-        flow = engine.flow
-        bottom = self._bottom
-        store = self.store
-        rt = self.reg_tags
-
-        if self._fetch_req is not None:
-            fetch_req = self._fetch_req
-            off = pc - self.ram_base
-            tsum = (store[off] | store[off + 1] | store[off + 2]
-                    | store[off + 3])
-            if tsum or bottom != 0:
-                itag = lub[lub[lub[store[off]][store[off + 1]]]
-                           [store[off + 2]]][store[off + 3]]
-                if not flow[itag][fetch_req]:
-                    if not engine.check_execution("fetch", itag, fetch_req,
-                                                  pc):
-                        self.stopped = True
-                        return
-
-        d = self._cache.get(word)
-        if d is None:
-            d = D.decode(word)
-            self._cache[word] = d
-        op = d[0]
-        branch_req = self._branch_req
-        memaddr_req = self._memaddr_req
-
-        if t >= EV_MMIO_LOAD:
-            if memaddr_req is not None:
-                rtag = rt[d[2]]
-                if not flow[rtag][memaddr_req]:
-                    if not engine.check_execution("mem-addr", rtag,
-                                                  memaddr_req, pc):
-                        self.stopped = True
-                        return
-            if t == EV_MMIO_LOAD and d[1]:
-                rt[d[1]] = ev[4]
-            return
-
-        if op <= D.BGEU:
-            if op >= D.BEQ:
-                if branch_req is not None:
-                    ctag = lub[rt[d[2]]][rt[d[3]]]
-                    if not flow[ctag][branch_req]:
-                        if not engine.check_execution("branch", ctag,
-                                                      branch_req, pc):
-                            self.stopped = True
-                            return
-            elif op == D.JALR:
-                rtag = rt[d[2]]
-                if branch_req is not None and not flow[rtag][branch_req]:
-                    if not engine.check_execution("branch", rtag,
-                                                  branch_req, pc):
-                        self.stopped = True
-                        return
-                if d[1]:
-                    rt[d[1]] = bottom
-            else:  # JAL / LUI / AUIPC
-                if d[1]:
-                    rt[d[1]] = bottom
-
-        elif op <= D.LHU:  # RAM load (MMIO loads returned above)
-            rtag = rt[d[2]]
-            if memaddr_req is not None and not flow[rtag][memaddr_req]:
-                if not engine.check_execution("mem-addr", rtag, memaddr_req,
-                                              pc):
-                    self.stopped = True
-                    return
-            if t != EV_LOAD:
-                raise ValueError(
-                    f"step packet at pc={pc:#010x} carries a load opcode")
-            o = ev[3] - self.ram_base
-            if op == D.LW:
-                tag = lub[lub[lub[store[o]][store[o + 1]]]
-                          [store[o + 2]]][store[o + 3]]
-            elif op in (D.LH, D.LHU):
-                tag = lub[store[o]][store[o + 1]]
-            else:  # LB / LBU
-                tag = store[o]
-            if d[1]:
-                rt[d[1]] = tag
-
-        elif op <= D.SW:  # RAM store
-            rtag = rt[d[2]]
-            if memaddr_req is not None and not flow[rtag][memaddr_req]:
-                if not engine.check_execution("mem-addr", rtag, memaddr_req,
-                                              pc):
-                    self.stopped = True
-                    return
-            if t != EV_STORE:
-                raise ValueError(
-                    f"step packet at pc={pc:#010x} carries a store opcode")
-            tag = rt[d[3]]
-            o = ev[3] - self.ram_base
-            if op == D.SW:
-                store[o] = tag
-                store[o + 1] = tag
-                store[o + 2] = tag
-                store[o + 3] = tag
-            elif op == D.SB:
-                store[o] = tag
-            else:  # SH
-                store[o] = tag
-                store[o + 1] = tag
-
-        elif op <= D.SRAI:  # immediate ALU + shifts: copy rs1 tag
-            if d[1]:
-                rt[d[1]] = rt[d[2]]
-
-        elif op <= D.REMU:  # register ALU + M extension: LUB
-            if d[1]:
-                rt[d[1]] = lub[rt[d[2]]][rt[d[3]]]
-
-        elif op == D.MRET:
-            if branch_req is not None:
-                etag = self.csr_tags.get(CSR.MEPC, bottom)
-                if not flow[etag][branch_req]:
-                    if not engine.check_execution("branch", etag, branch_req,
-                                                  pc):
-                        self.stopped = True
-                        return
-
-        elif D.CSRRW <= op <= D.CSRRCI:
-            self._apply_csr(d)
-
-        # FENCE / ECALL / EBREAK / WFI / ILLEGAL: no tag effects
 
     def _apply_csr(self, d: D.Decoded) -> None:
         """Mirror of ``Cpu._exec_csr`` tag bookkeeping."""
@@ -278,6 +334,56 @@ class DiftMonitor:
         if rd:
             self.reg_tags[rd] = old_tag
 
+    def _ram_span(self) -> str:
+        return (f"[{self.ram_base:#010x}, "
+                f"{self.ram_base + self.ram_size:#010x})")
+
+    def _materialize(self, page: int) -> memoryview:
+        """Give ``page`` its own storage; returns its tag-word view."""
+        length = min(PAGE_SIZE, self.ram_size - page * PAGE_SIZE)
+        data = self._pages[page] = bytearray((self.fill,)) * length
+        view = self._words[page] = memoryview(data).cast("I")
+        return view
+
+    def _read(self, offset: int, length: int) -> bytes:
+        """Tags of ``length`` bytes from RAM offset ``offset``."""
+        out = bytearray()
+        end = offset + length
+        while offset < end:
+            page, i = divmod(offset, PAGE_SIZE)
+            chunk = min(PAGE_SIZE - i, end - offset)
+            data = self._pages[page]
+            out += (bytes((self.fill,)) * chunk if data is None
+                    else data[i:i + chunk])
+            offset += chunk
+        return bytes(out)
+
+    def _write(self, t: int, offset: int, length: int, tags) -> None:
+        """Write ``length`` tags from RAM offset ``offset`` for packet type
+        ``t``: ``tags`` is one tag for every byte, or per-byte ``bytes``."""
+        end = offset + length
+        if offset < 0 or end > self.ram_size:
+            raise ValueError(
+                f"{event_name(t)} packet writes RAM offsets "
+                f"[{offset:#x}, {end:#x}), outside [0, {self.ram_size:#x})")
+        fill = self.fill
+        pos = 0
+        while offset < end:
+            page, i = divmod(offset, PAGE_SIZE)
+            chunk = min(PAGE_SIZE - i, end - offset)
+            if isinstance(tags, int):
+                piece = bytes((tags,)) * chunk
+            else:
+                piece = tags[pos:pos + chunk]
+            data = self._pages[page]
+            if data is None and piece.count(fill) != chunk:
+                self._materialize(page)
+                data = self._pages[page]
+            if data is not None:
+                data[i:i + chunk] = piece
+            offset += chunk
+            pos += chunk
+
     # ------------------------------------------------------------------ #
     # inspection
     # ------------------------------------------------------------------ #
@@ -286,18 +392,22 @@ class DiftMonitor:
         """Explicitly written CSR tags (mirror of ``CsrFile.tag_values``)."""
         return self.csr_tags.values()
 
+    def tag_image(self) -> bytes:
+        """The dense RAM tag image: one tag per byte, ``ram_size`` bytes."""
+        return self._read(0, self.ram_size)
+
     def shadow_digest(self) -> str:
         """Canonical digest of the monitor's RAM shadow.
 
         Equal to :func:`~repro.dift.shadow.shadow_digest` of the live
         machine's flat RAM shadow when the replay reproduced it, so a
         recorded stream's re-analysis can be checked against the live run
-        without materializing the offline store flat (the walk is
-        O(tainted pages)).  The background is the store's own fill: the
-        *recorded* policy's default classification, even under an
+        without materializing the offline shadow flat (one ``count`` per
+        materialized page).  The background is the shadow's own fill:
+        the *recorded* policy's default classification, even under an
         override engine.
         """
-        return shadow_digest(self.store, self.store.fill)
+        return shadow_digest(self._pages, self.fill, self.ram_size)
 
     def __repr__(self) -> str:
         return (f"DiftMonitor(consumed={self.events_consumed}, "
@@ -326,6 +436,24 @@ class ReanalysisResult:
         return bool(self.engine.violations)
 
 
+def _ram_geometry(header: dict) -> Tuple[int, int]:
+    """``(ram_size, ram_base)`` of a stream header, validated as
+    ``Platform`` validates its configuration: a :class:`StreamError` at
+    offset 0 names the offending field."""
+    cfg = header.get("config")
+    ram_size = cfg.get("ram_size") if isinstance(cfg, dict) else None
+    if type(ram_size) is not int or ram_size <= 0 or ram_size & 3:
+        raise StreamError(
+            f"corrupt header: config.ram_size must be a positive multiple "
+            f"of 4 bytes, got {ram_size!r}", 0)
+    ram_base = header.get("ram_base", 0)
+    if type(ram_base) is not int or ram_base < 0 or ram_base & 3:
+        raise StreamError(
+            f"corrupt header: ram_base must be a word-aligned address, "
+            f"got {ram_base!r}", 0)
+    return ram_size, ram_base
+
+
 def reanalyze_stream(path: str, policy=None,
                      engine_mode: str = RECORD) -> ReanalysisResult:
     """Replay a recorded ``repro.dift.events/1`` stream offline.
@@ -341,8 +469,8 @@ def reanalyze_stream(path: str, policy=None,
     *recorded* policy's machine.
     """
     header, events = read_stream(path)
-    cfg = header["config"]
-    policy_data = cfg.get("policy")
+    ram_size, ram_base = _ram_geometry(header)
+    policy_data = header["config"].get("policy")
     if policy_data is None:
         raise ValueError(f"{path}: stream was recorded without a policy")
     recorded = policy_from_dict(policy_data)
@@ -358,8 +486,8 @@ def reanalyze_stream(path: str, policy=None,
     engine = DiftEngine(policy, mode=engine_mode)
     # the guest ran on the *recorded* machine: its memory started at the
     # recorded policy's default classification
-    store = ShadowTags(cfg["ram_size"], fill=recorded.default_tag())
-    monitor = DiftMonitor(engine, store, ram_base=header.get("ram_base", 0))
+    monitor = DiftMonitor(engine, ram_size, recorded.default_tag(),
+                          ram_base=ram_base)
     monitor.consume(events)
     return ReanalysisResult(header=header, events=len(events),
                             engine=engine, monitor=monitor)

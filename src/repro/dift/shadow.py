@@ -1,9 +1,12 @@
 """Byte-granular shadow tag storage, sparse, page-granular, summarized.
 
 The paper tags every memory byte (``Taint<uint8_t>``).  :class:`ShadowTags`
-is the shared tag store used by peripherals and tooling: one ``uint8_t``
-tag per data byte (matching the paper's ``typedef uint8_t Tag``), with
-bulk operations for the TLM data path.
+is a general-purpose sparse tag store for tooling: one ``uint8_t`` tag
+per data byte (matching the paper's ``typedef uint8_t Tag``), with bulk
+operations sized for the TLM data path.  RAM and the peripherals keep
+their tags in flat ``bytearray`` objects and the offline monitor keeps
+its own paged word-view shadow; :func:`shadow_digest` compares all
+three.
 
 Storage is **copy-on-taint**: the address space is split into fixed-size
 pages and a page is materialized as a ``bytearray`` only once a tag
@@ -28,9 +31,9 @@ common "nothing tainted here" case without touching the dense storage):
 Writes maintain the summary incrementally: taint-adding writes OR line
 bits in (O(1)); fill writes clear fully-covered line bits and re-count
 only the (at most two) boundary lines; single-byte fill writes over a
-tainted line just mark the word stale so the per-byte replay path stays
-O(1).  Queries (:meth:`any_tainted`, :meth:`lub_range`,
-:meth:`uniform`, :meth:`tainted_pages`, ``dump(sparse=True)``) walk the
+tainted line just mark the word stale so per-byte writes stay O(1).
+Queries (:meth:`any_tainted`, :meth:`lub_range`, :meth:`uniform`,
+:meth:`tainted_pages`, ``dump(sparse=True)``) walk the
 bitmap instead of the pages and therefore cost O(tainted lines), with a
 per-page *uniform-tag hint* making even a fully tainted-uniform store
 one table lookup per page.
@@ -300,8 +303,8 @@ class ShadowTags:
                 if word is not None and \
                         (word >> (offset >> _LINE_SHIFT)) & 1:
                     # A single fill byte into a tainted line: whether the
-                    # line went clean needs a re-count; defer it so the
-                    # per-byte replay path stays O(1).
+                    # line went clean needs a re-count; defer it so
+                    # per-byte writes stay O(1).
                     self._summary[page] = None
                 if self._upage[page] is not None:
                     self._upage[page] = None
@@ -317,8 +320,7 @@ class ShadowTags:
         if hint is not None and hint != tag:
             self._upage[page] = None
 
-    # The offline DIFT monitor indexes its tag store per byte, the way
-    # the ISS indexes the flat RAM shadow through its DMI pointer.
+    # per-byte indexing, the way the ISS indexes its flat RAM shadow
     __getitem__ = get
     __setitem__ = set
 
@@ -692,8 +694,9 @@ class ShadowTags:
                 f"pages={self.materialized_pages}/{len(self._pages)})")
 
 
-def shadow_digest(store: Union[ShadowTags, bytearray, bytes],
-                  fill: Tag) -> str:
+def shadow_digest(store: Union[ShadowTags, bytearray, bytes,
+                               List[Optional[bytearray]]],
+                  fill: Tag, size: Optional[int] = None) -> str:
     """Canonical sha256 over the *tainted pages* of a tag store.
 
     Hashes ``(page index, page bytes)`` for every page holding at least
@@ -701,10 +704,14 @@ def shadow_digest(store: Union[ShadowTags, bytearray, bytes],
     the same dense tag image produce the same digest without either
     being materialized flat:
 
-    * a :class:`ShadowTags` (the offline monitor's store)
-      walks its presence summary — O(tainted pages);
+    * a :class:`ShadowTags` walks its presence summary — O(tainted
+      pages);
     * a flat ``bytearray`` (the live RAM shadow) pays one C-speed
-      ``count`` per page.
+      ``count`` per page;
+    * a page list (the offline monitor's shadow: one ``PAGE_SIZE`` tag
+      buffer per page, the last one possibly short, ``None`` for a page
+      that holds ``fill`` throughout) pays one ``count`` per
+      materialized page, and needs the store ``size``.
 
     Digests are only comparable between stores sharing the same ``fill``
     background; for a ``ShadowTags`` the argument must match the store's
@@ -720,6 +727,13 @@ def shadow_digest(store: Union[ShadowTags, bytearray, bytes],
         for index in sorted(pages):
             digest.update(index.to_bytes(8, "little"))
             digest.update(pages[index])
+    elif isinstance(store, list):
+        if size is None:
+            raise ValueError("a page-list digest needs the store size")
+        for index, data in enumerate(store):
+            if data is not None and data.count(fill) != len(data):
+                digest.update(index.to_bytes(8, "little"))
+                digest.update(data)
     else:
         size = len(store)
         for index in range((size + PAGE_SIZE - 1) >> _PAGE_SHIFT):

@@ -1,15 +1,20 @@
 """Tests for the ``repro.dift.events/1`` stream codec.
 
-Three layers: packet-level round-trip properties over randomized event
-sequences, file-level writer/reader behaviour including truncation and
-corruption rejection (always naming the byte offset), and determinism —
-two recordings of the same guest are byte-identical streams.
+Four layers: packet-level round-trip properties over randomized event
+sequences, the batched writer and reader against the per-packet
+reference codec (plus one pinned golden vector, so the packet table
+cannot drift the wire format), file-level writer/reader behaviour
+including truncation and corruption rejection (always naming the byte
+offset), and determinism — two recordings of the same guest are
+byte-identical streams.
 """
 
 import json
+import os
+import tempfile
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dift import events as ev
@@ -38,8 +43,10 @@ from repro.vp.config import PlatformConfig
 # randomized event strategies
 # ---------------------------------------------------------------------- #
 
-_u32 = st.integers(min_value=0, max_value=0xFFFF_FFFF)
-_u8 = st.integers(min_value=0, max_value=0xFF)
+# the field extremes are drawn on purpose, not left to chance
+_u32 = (st.sampled_from((0, 0xFFFF_FFFF))
+        | st.integers(min_value=0, max_value=0xFFFF_FFFF))
+_u8 = st.sampled_from((0, 0xFF)) | st.integers(min_value=0, max_value=0xFF)
 _i32 = st.integers(min_value=-(2 ** 31), max_value=2 ** 31 - 1)
 _text = st.text(
     alphabet=st.characters(codec="utf-8", exclude_categories=("Cs",)),
@@ -108,6 +115,96 @@ class TestPacketRoundTrip:
         assert event_name(99) == "unknown(99)"
 
 
+def _reference_read(blob: bytes) -> list:
+    """:func:`read_stream`'s packet walk, one :func:`decode_event` call per
+    packet: the events, or the :class:`StreamError` it raises."""
+    pos = blob.index(b"\n") + 1
+    events = []
+    while True:
+        if pos == len(blob):
+            raise StreamError(
+                "truncated event stream: missing terminal packet", pos)
+        event, pos = decode_event(blob, pos)
+        if event[0] == EV_END:
+            if pos != len(blob):
+                raise StreamError(
+                    "corrupt event stream: data after terminal packet", pos)
+            if event[1] != len(events):
+                raise StreamError(
+                    f"corrupt event stream: terminal count {event[1]} != "
+                    f"{len(events)} events", pos - 9)
+            return events
+        events.append(event)
+
+
+def _write_stream(path: str, events) -> bytes:
+    writer = EventWriter(path, _header())
+    writer.write_many(events)
+    writer.close()
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
+class TestBatchedCodec:
+    """``write_many`` and ``read_stream`` use the packet table inline;
+    they must agree with the per-packet reference byte for byte."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_events, max_size=12))
+    def test_batch_matches_reference(self, events):
+        with tempfile.TemporaryDirectory() as scratch:
+            path = os.path.join(scratch, "s.ev")
+            blob = _write_stream(path, events)
+            body = blob[len(encode_header(_header())):]
+            assert body == b"".join(encode_event(e) for e in events) \
+                + encode_event((EV_END, len(events)))
+            _, decoded = read_stream(path)
+            assert decoded == _reference_read(blob) == list(events)
+            # every cut after the header line is rejected at the offset
+            # the reference walk names
+            for end in range(blob.index(b"\n") + 1, len(blob)):
+                # a fresh file per cut: ext4 flushes a file truncated and
+                # rewritten in place when it is closed, tens of ms each
+                cut = os.path.join(scratch, f"cut{end}.ev")
+                with open(cut, "wb") as handle:
+                    handle.write(blob[:end])
+                with pytest.raises(StreamError) as ref:
+                    _reference_read(blob[:end])
+                with pytest.raises(StreamError) as err:
+                    read_stream(cut)
+                assert err.value.offset == ref.value.offset, end
+                assert str(err.value) == str(ref.value), end
+
+    #: one packet of every type, encoded by the original per-field codec
+    GOLDEN = [
+        (EV_STEP, 0x00001000, 0x00000013),
+        (ev.EV_LOAD, 0x00001004, 0x0002A283, 0x00002000),
+        (ev.EV_STORE, 0x00001008, 0x0052A023, 0xFFFFFFFF),
+        (ev.EV_MMIO_LOAD, 0x0000100C, 0x0002C303, 0x10000000, 2),
+        (ev.EV_MMIO_STORE, 0x00001010, 0x00628023, 0x10000000),
+        (ev.EV_FAULT_ACCESS, 0x00001014, 0x0002A283, 0xF0000000),
+        (EV_TRAP, 0x00001014, 5),
+        (EV_TAINT_FILL, 0x00000100, 0x00000040, 3),
+        (EV_TAINT, 0x00000200, b"\x00\x01\x02\xff"),
+        (EV_SINK, "uart0.tx", 2, 1, "byte=0x41", -1),
+        (EV_END, 10),
+    ]
+    GOLDEN_HEX = (
+        "000010000013000000010410000083a2020000200000020810000023a05200ff"
+        "ffffff030c10000003c302000000001002041010000023806200000000100514"
+        "10000083a20200000000f0061410000005000000070001000040000000030800"
+        "02000004000000000102ff09080075617274302e747802010900627974653d30"
+        "783431ffffffff0a0a00000000000000")
+
+    def test_golden_vector(self, tmp_path):
+        golden = bytes.fromhex(self.GOLDEN_HEX)
+        assert b"".join(encode_event(e) for e in self.GOLDEN) == golden
+        path = str(tmp_path / "golden.ev")
+        blob = _write_stream(path, self.GOLDEN[:-1])
+        assert blob == encode_header(_header()) + golden
+        assert read_stream(path)[1] == self.GOLDEN[:-1]
+
+
 class TestHeader:
     def test_dift_mode_is_scrubbed(self):
         header = make_header(PlatformConfig(dift_mode="demand"))
@@ -153,7 +250,8 @@ class TestWriterReader:
         writer = EventWriter(path, _header())
         writer.write_many([(EV_STEP, i, 0x13) for i in range(5)])
         writer.close()
-        blob = open(path, "rb").read()
+        with open(path, "rb") as handle:
+            blob = handle.read()
         cut = str(tmp_path / "cut.ev")
         with open(cut, "wb") as handle:
             handle.write(blob[:-3])
@@ -169,7 +267,8 @@ class TestWriterReader:
         writer = EventWriter(path, _header())
         writer.write((EV_STEP, 0, 0x13))
         writer.close()
-        blob = open(path, "rb").read()
+        with open(path, "rb") as handle:
+            blob = handle.read()
         end_size = len(encode_event((EV_END, 1)))
         cut = str(tmp_path / "cut.ev")
         with open(cut, "wb") as handle:
@@ -224,7 +323,8 @@ class TestWriterReader:
         writer = EventWriter(path, _header())
         writer.write((EV_TAINT_FILL, 0, 4, 1))
         writer.close()
-        blob = bytearray(open(path, "rb").read())
+        with open(path, "rb") as handle:
+            blob = bytearray(handle.read())
         header_len = blob.index(b"\n") + 1
         blob[header_len] = 0x63  # overwrite the first packet's type byte
         bad = str(tmp_path / "bad.ev")

@@ -9,22 +9,40 @@ cover the immobilizer case study, the applicable Wilander–Kamkar
 attacks, the Table II workloads and the committed attack corpus.
 The Table II workloads also check that recording is invisible: a
 recording run ends in the same architectural and tag state as an
-inline full run that records nothing.
+inline full run that records nothing.  Crafted streams check that a
+packet outside RAM or a header with a bad RAM geometry is rejected
+with an exact error, and with exit 2 from ``repro reanalyze``.
 """
 
 import hashlib
 import os
+import re
 from dataclasses import replace
 
 import pytest
 
+from repro.asm import assemble
 from repro.bench.table1 import code_injection_policy
 from repro.bench.workloads import TABLE2_ORDER, WORKLOADS
 from repro.casestudy import immobilizer as cs
+from repro.cli import main
 from repro.dift.engine import RECORD
+from repro.dift.events import (
+    EV_END,
+    EV_LOAD,
+    EV_STEP,
+    EV_STORE,
+    EV_TAINT_FILL,
+    EventWriter,
+    StreamError,
+    encode_event,
+    encode_header,
+    make_header,
+)
 from repro.dift.monitor import reanalyze_stream
 from repro.dift.shadow import shadow_digest
 from repro.gen.corpus import corpus_files, load_case
+from repro.policy import SecurityPolicy, builders
 from repro.sw import immobilizer as immo_sw
 from repro.sw import wk_suite
 from repro.vp.config import PlatformConfig
@@ -211,11 +229,11 @@ class TestReanalysis:
         assert (_violations(offline.violations)
                 == _violations(result.violations)) and offline.detected
         assert tuple(offline.monitor.reg_tags) == tuple(platform.cpu.tags)
-        store = offline.monitor.store
-        assert (hashlib.sha256(store.get_range(0, store.size)).hexdigest()
+        image = offline.monitor.tag_image()
+        assert (hashlib.sha256(image).hexdigest()
                 == hashlib.sha256(bytes(platform.memory.tags)).hexdigest())
         # same comparison without materializing either store flat: the
-        # canonical digest walks the offline store's presence summary
+        # canonical digest walks the offline shadow's materialized pages
         assert offline.monitor.shadow_digest() == shadow_digest(
             platform.memory.tags, platform.engine.default_tag)
 
@@ -269,3 +287,77 @@ class TestReanalysis:
                     policy=policy, engine_mode=RECORD, jit=jit,
                     record_events=str(path)))
         assert not path.exists(), "rejected config opened the stream"
+
+
+# --------------------------------------------------------------------- #
+# crafted streams: malformed packets and headers are rejected, not
+# replayed and not a traceback
+# --------------------------------------------------------------------- #
+
+#: RAM of the crafted streams: 16 KiB at 0x1000, so both "below RAM" and
+#: "past RAM" addresses exist in a 32-bit packet field
+_RAM_BASE = 0x1000
+_RAM_SIZE = 0x4000
+_WORDS = assemble(".text\nlw t0, 0(t1)\nsw t0, 0(t1)\nnop\n")
+_LW, _SW, _NOP = (_WORDS.word_at(4 * k) for k in range(3))
+
+
+def _crafted_header(ram_base=_RAM_BASE):
+    policy = SecurityPolicy(builders.ifp3(), default_class=builders.LC_HI)
+    policy.set_execution_clearance(fetch=builders.LC_LI)
+    config = PlatformConfig(policy=policy, ram_size=_RAM_SIZE)
+    return make_header(config, extra={"ram_base": ram_base})
+
+
+_PC = _RAM_BASE + 0x100
+_RAM_END = _RAM_BASE + _RAM_SIZE
+
+
+@pytest.mark.parametrize("event,message", [
+    ((EV_LOAD, _PC, _LW, 0x10),
+     "load packet at pc=0x00001100 addresses 0x00000010, outside RAM"),
+    ((EV_LOAD, _PC, _LW, _RAM_END - 2),
+     "load packet at pc=0x00001100 addresses 0x00004ffe, outside RAM"),
+    ((EV_STORE, _PC, _SW, 0x10),
+     "store packet at pc=0x00001100 addresses 0x00000010, outside RAM"),
+    ((EV_STORE, _PC, _SW, _RAM_END),
+     "store packet at pc=0x00001100 addresses 0x00005000, outside RAM"),
+    ((EV_STEP, 0x10, _NOP),
+     "step packet at pc=0x00000010 fetches outside RAM"),
+    ((EV_TAINT_FILL, _RAM_SIZE - 2, 4, 1),
+     "taint-fill packet writes RAM offsets [0x3ffe, 0x4002), outside"),
+], ids=["load-below", "load-past-end", "store-below", "store-past-end",
+        "fetch-below", "taint-past-end"])
+def test_out_of_ram_packets_rejected(event, message, tmp_path, capsys):
+    path = str(tmp_path / "crafted.ev")
+    writer = EventWriter(path, _crafted_header())
+    writer.write_many([(EV_STEP, _PC - 4, _NOP), event])
+    writer.close()
+    with pytest.raises(ValueError, match=re.escape(message)):
+        reanalyze_stream(path)
+    assert main(["reanalyze", path]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ram_size,ram_base,field", [
+    (6, _RAM_BASE, "ram_size"),
+    (0, _RAM_BASE, "ram_size"),
+    ("4096", _RAM_BASE, "ram_size"),
+    (_RAM_SIZE, "0", "ram_base"),
+    (_RAM_SIZE, 2, "ram_base"),
+])
+def test_bad_stream_geometry_rejected(ram_size, ram_base, field, tmp_path,
+                                      capsys):
+    """The header's RAM geometry obeys Platform's rule: ``ram_size`` a
+    positive int multiple of 4, ``ram_base`` a word-aligned int."""
+    path = str(tmp_path / "crafted.ev")
+    header = _crafted_header(ram_base)
+    header["config"]["ram_size"] = ram_size
+    with open(path, "wb") as handle:
+        handle.write(encode_header(header))
+        handle.write(encode_event((EV_END, 0)))
+    with pytest.raises(StreamError, match=field) as err:
+        reanalyze_stream(path)
+    assert err.value.offset == 0
+    assert main(["reanalyze", path]) == 2
+    assert field in capsys.readouterr().err

@@ -6,6 +6,12 @@ sub-word accesses keep the byte path.  The differential generator aligns
 every word access, so these tests drive both paths on purpose: every
 offset of a clean, a uniformly tagged and a mixed tag word, under each
 execution strategy, against byte-level expectations and inline full.
+
+The offline monitor mirrors the same split over its paged shadow (tag
+words for fetch clearance and aligned ``lw``/``sw``, bytes otherwise,
+and a byte path across 4 KiB page boundaries), so every guest here is
+also recorded and replayed: the replay must end in the live run's
+violations, register tags and dense tag image.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import pytest
 
 from repro.asm import assemble
 from repro.dift.engine import DiftEngine
+from repro.dift.monitor import reanalyze_stream
 from repro.errors import BusError
 from repro.policy import SecurityPolicy, builders
 from repro.sw import runtime
@@ -121,6 +128,24 @@ def _run_access(program, strategy: str) -> Platform:
     return platform
 
 
+def _record_and_replay(program, policy, tmp_path) -> Platform:
+    """Run ``program`` under inline full DIFT while recording its event
+    stream, replay the stream offline and check the replay ends in the
+    live run's DIFT state."""
+    path = str(tmp_path / "run.ev")
+    platform = Platform.from_config(PlatformConfig(
+        policy=policy, engine_mode="record", record_events=path))
+    platform.load(program)
+    result = platform.run(max_instructions=100_000)
+    platform.finish_recording()
+    offline = reanalyze_stream(path)
+    assert [str(v) for v in offline.violations] == \
+        [str(v) for v in result.violations]
+    assert offline.monitor.reg_tags == platform.cpu.tags
+    assert offline.monitor.tag_image() == bytes(platform.memory.tags)
+    return platform
+
+
 def _expected(lub, tag_of):
     """Byte-level model of the guest: (out, swgrid, shgrid) data and tags,
     plus the last (lw, lh) values and tags."""
@@ -193,6 +218,13 @@ def test_word_and_byte_paths_every_offset_and_tag_mix(strategy):
         assert bytes(memory.tags) == bytes(reference.memory.tags)
 
 
+def test_replay_every_offset_and_tag_mix(tmp_path):
+    """The access guest, recorded and replayed offline."""
+    program = _access_program()
+    platform = _record_and_replay(program, _access_policy(program), tmp_path)
+    assert platform.cpu.halted
+
+
 FETCH_GUEST = """
 .text
 main:
@@ -201,6 +233,20 @@ victim:
     addi a0, zero, 0
     ret
 """
+
+
+def _fetch_case(rest):
+    """FETCH_GUEST, its ``victim`` address, and a policy that tags the
+    victim word ``rest`` except for one LC_LI byte (byte 2) and requires
+    HC_HI to fetch."""
+    program = assemble(runtime.program(FETCH_GUEST, include_lib=False))
+    victim = program.symbol("victim")
+    policy = SecurityPolicy(builders.ifp3(), default_class=BOTTOM)
+    policy.set_execution_clearance(fetch=builders.HC_HI)
+    if rest != BOTTOM:
+        policy.classify_region(victim, victim + 4, rest)
+    policy.classify_region(victim + 2, victim + 3, builders.LC_LI)
+    return program, victim, policy
 
 
 @pytest.mark.parametrize("strategy", ["full", "demand", "jit"])
@@ -214,13 +260,7 @@ def test_fetch_clearance_folds_one_tainted_code_byte(strategy, rest,
 
     Over a clean word the byte's own class is reported; over a HC_HI word
     the LUB HC_LI is, neither of which is byte 0's tag."""
-    program = assemble(runtime.program(FETCH_GUEST, include_lib=False))
-    victim = program.symbol("victim")
-    policy = SecurityPolicy(builders.ifp3(), default_class=BOTTOM)
-    policy.set_execution_clearance(fetch=builders.HC_HI)
-    if rest != BOTTOM:
-        policy.classify_region(victim, victim + 4, rest)
-    policy.classify_region(victim + 2, victim + 3, builders.LC_LI)
+    program, victim, policy = _fetch_case(rest)
     _, kwargs = STRATEGIES[strategy]
     platform = Platform.from_config(PlatformConfig(
         policy=policy, engine_mode="record", **kwargs))
@@ -230,6 +270,81 @@ def test_fetch_clearance_folds_one_tainted_code_byte(strategy, rest,
     assert [str(v) for v in result.violations] == \
         [f"{expected} pc={victim:#010x}"]
     assert platform.cpu.pc == victim
+
+
+@pytest.mark.parametrize("rest", [BOTTOM, UNIFORM])
+def test_replay_fetch_clearance_folds_one_tainted_code_byte(rest, tmp_path):
+    """The one-tainted-code-byte fetch case, recorded and replayed."""
+    program, victim, policy = _fetch_case(rest)
+    platform = _record_and_replay(program, policy, tmp_path)
+    assert [v.pc for v in platform.engine.violations] == [victim]
+
+
+#: misaligned accesses across two 4 KiB page boundaries inside ``buf``:
+#: at ``s0`` a clean page meets a mixed tag word, at ``s1`` a uniformly
+#: tagged word meets a clean page.  The loads come first, then sub-word
+#: and word stores of a clean and of a tainted register across both
+STRADDLE_GUEST = """
+.text
+main:
+    la   s0, buf
+    li   t0, 4095
+    add  s0, s0, t0
+    li   t0, -4096
+    and  s0, s0, t0
+    li   t0, 4096
+    add  s1, s0, t0
+    lw   a1, -1(s0)
+    lw   a2, -3(s0)
+    lh   a3, -1(s0)
+    lw   a4, -1(s1)
+    lhu  a5, -1(s1)
+    li   t6, 7
+    sh   t6, -1(s1)
+    sh   t6, -1(s0)
+    sw   a1, -2(s0)
+    sw   a1, -3(s1)
+    lw   a6, -2(s0)
+    lh   a7, -1(s1)
+    li   a0, 0
+    ret
+.data
+buf:
+    .space 12288
+"""
+
+
+def test_page_straddling_accesses(tmp_path):
+    """Misaligned lw/sw/lh/sh across a 4 KiB page boundary, one side
+    clean and one side tainted: every strategy agrees with inline full,
+    and the offline replay's page-crossing byte path with the live run."""
+    program = assemble(runtime.program(STRADDLE_GUEST, include_lib=False))
+    edge_a = (program.symbol("buf") + 4095) & -4096
+    edge_b = edge_a + 4096
+    policy = SecurityPolicy(builders.ifp3(), default_class=BOTTOM)
+    for k, cls in enumerate(MIXED):
+        policy.classify_region(edge_a + k, edge_a + k + 1, cls)
+    policy.classify_region(edge_b - 4, edge_b, UNIFORM)
+    platform = _record_and_replay(program, policy, tmp_path)
+    tag_of = platform.engine.lattice.tag_of
+    tags = platform.cpu.tags
+    assert tags[11] == tag_of(builders.HC_LI)   # a1: clean + 3 mixed bytes
+    assert tags[13] == tag_of(builders.HC_HI)   # a3: clean + HC_HI byte
+    assert tags[14] == tag_of(UNIFORM)          # a4: tainted + 3 clean
+    # the last stores left the tainted register's tag on both sides
+    memory = platform.memory
+    assert bytes(memory.tags[edge_a - 2:edge_a + 2]) == bytes([tags[11]]) * 4
+    assert bytes(memory.tags[edge_b - 3:edge_b + 1]) == bytes([tags[11]]) * 4
+    for strategy in STRATEGIES:
+        if strategy == "plain":
+            continue
+        _, kwargs = STRATEGIES[strategy]
+        other = Platform.from_config(PlatformConfig(policy=policy, **kwargs))
+        other.load(program)
+        other.run(max_instructions=100_000)
+        assert other.cpu.regs == platform.cpu.regs, strategy
+        assert other.cpu.tags == platform.cpu.tags, strategy
+        assert bytes(other.memory.tags) == bytes(memory.tags), strategy
 
 
 @pytest.mark.parametrize("ram_size,byteorder,named", [
