@@ -1,13 +1,13 @@
 """Trace-compiled fast path for the ISS (``repro.vp.jit``).
 
-Layered on the interpreter without changing its semantics: hot
-straight-line runs (superblocks) are detected by two cooperating
-profilers, compiled once into specialized Python closures, and
-dispatched from thin wrappers around the ``Cpu`` run loops.  Compiled
-and interpreted runs are required to be indistinguishable — same
-architectural state, same DIFT verdicts, same ``repro.snapshot/1``
-documents — which the differential suite (``tests/test_jit_diff.py``)
-enforces across the workload registry.
+Layered on the interpreter without changing its semantics: hot runs of
+consecutive instructions (superblocks, which continue through forward
+branches) are detected by two cooperating profilers, compiled once into
+specialized Python closures, and dispatched from thin wrappers around
+the ``Cpu`` run loops.  Compiled and interpreted runs are required to be
+indistinguishable — same architectural state, same DIFT verdicts, same
+``repro.snapshot/1`` documents — which the differential suite
+(``tests/test_jit_diff.py``) enforces across the workload registry.
 
 Hotness is profiled on two channels:
 
@@ -218,6 +218,7 @@ class JitEngine:
                         blk.barren += 1
                         if blk.barren >= BARREN_LIMIT:
                             self._drop(blk)
+                            stats.dropped += 1
                             hot[blk.entry] = -1
                     # fall through to the interpreter for progress
             asked = n - executed
@@ -329,6 +330,7 @@ class JitEngine:
             self._no_compile.add(line)
         for blk in list(affected):
             self._drop(blk)
+            self.stats.invalidated_blocks += 1
 
     def _drop(self, blk: Superblock) -> None:
         blocks = self.blocks_dift if blk.dift else self.blocks_plain
@@ -343,7 +345,6 @@ class JitEngine:
                 if not owners:
                     del self._line_blocks[line]
                     self.code_lines.discard(line)
-        self.stats.invalidated_blocks += 1
 
     def flush(self, reason: str = "") -> None:
         """Discard every compiled block and all profiling state.

@@ -1,10 +1,18 @@
 """Superblock discovery over the decode cache.
 
-A superblock is a straight-line run of instructions starting at a hot
-entry PC and ending at the first control transfer (branch / jal / jalr,
-which is *included* as the block terminator) or at the first
-instruction the block cannot carry (system/CSR instructions, or a word
-the decode cache has never seen).
+A superblock is a run of consecutive instructions starting at a hot
+entry PC.  The scan keeps going along the fall-through path of every
+*forward* conditional branch, so a loop whose header is a top test
+(``bge t3, s2, done`` … ``j loop``) and the if-thens inside it land in
+one block; the code generator turns each inner branch into a skip
+region or an exit.  The scan stops at:
+
+* a backward conditional branch, ``jal`` or ``jalr`` — *included* as
+  the block terminator;
+* an instruction the block cannot carry (system/CSR instructions, or a
+  word the decode cache has never seen), a word outside RAM, or the
+  :data:`MAX_BLOCK_LEN` cap — *excluded*.  If the last instruction
+  scanned is a forward branch, it becomes the terminator.
 
 The scan reads decoded tuples **only** from ``cpu._decode_cache`` and
 never decodes on its own: every instruction a block compiles has
@@ -26,9 +34,9 @@ MIN_BLOCK_LEN = 2
 #: generated-source cap; also bounds worst-case compile latency
 MAX_BLOCK_LEN = 64
 
-#: control-transfer opcodes that terminate (and are included in) a block
-_TERMINATORS = frozenset(
-    (D.JAL, D.JALR, D.BEQ, D.BNE, D.BLT, D.BGE, D.BLTU, D.BGEU))
+#: unconditional control transfers: always terminate (and are included in)
+#: a block
+_JUMPS = frozenset((D.JAL, D.JALR))
 
 
 def scan_superblock(
@@ -36,42 +44,39 @@ def scan_superblock(
 ) -> Tuple[Optional[List[Tuple[int, tuple]]], bool]:
     """Scan forward from ``entry``; returns ``(instrs, terminated)``.
 
-    ``instrs`` is a list of ``(pc, decoded)`` pairs or ``None`` when no
-    compilable block exists at ``entry`` (too short, misaligned, or the
-    first word is unknown).  ``terminated`` tells whether the block ends
-    in a control transfer (last element) or falls through.
+    ``instrs`` is a list of ``(pc, decoded)`` pairs at consecutive PCs,
+    or ``None`` when no compilable block exists at ``entry`` (too short,
+    misaligned, or the first word is unknown).  ``terminated`` tells
+    whether the block ends in a control transfer (last element) or
+    falls through.  Every conditional branch before the last element
+    is forward.
     """
     if entry & 3:
         return None, False
     cache = cpu._decode_cache
-    ram = cpu.ram
+    ram32 = cpu.ram32
     base = cpu.ram_base
     end = cpu.ram_end
-    frombytes = int.from_bytes
     pc = entry
     instrs: List[Tuple[int, tuple]] = []
-    terminated = False
     while len(instrs) < max_len:
         if pc < base or pc + 4 > end:
             break
-        off = pc - base
-        word = frombytes(ram[off:off + 4], "little")
-        d = cache.get(word)
+        d = cache.get(ram32[(pc - base) >> 2])
         if d is None:
             # never interpreted: compiling it would grow the decode
             # cache differently from an interpreted run
             break
         op = d[0]
-        if op in _TERMINATORS:
-            instrs.append((pc, d))
-            terminated = True
-            break
         if op >= D.ECALL:
             # ecall/ebreak/mret/wfi/csr/illegal: cold, stateful paths
             # the interpreter owns
             break
         instrs.append((pc, d))
+        if op in _JUMPS or (D.BEQ <= op <= D.BGEU and d[4] <= 0):
+            break
         pc += 4
     if len(instrs) < MIN_BLOCK_LEN:
         return None, False
-    return instrs, terminated
+    # a jump, a backward branch, or a forward branch the scan stopped after
+    return instrs, D.JAL <= instrs[-1][1][0] <= D.BGEU

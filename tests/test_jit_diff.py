@@ -19,11 +19,15 @@ import os
 
 import pytest
 
-from repro.bench.workloads import get_workload, workload_names
+from repro.asm import assemble
+from repro.bench.workloads import benchmark_policy, get_workload, workload_names
 from repro.campaign.worker import is_timing_metric
+from repro.errors import ExecutionClearanceError
 from repro.gen.corpus import corpus_files, load_case
 from repro.obs import Observability
+from repro.policy import builders
 from repro.state import diff_documents
+from repro.sw import runtime
 from repro.vp.config import PlatformConfig
 from repro.vp.jit import DEFAULT_THRESHOLD
 from repro.vp.platform import Platform
@@ -104,6 +108,20 @@ def test_jit_differential_is_not_vacuous():
     assert metrics["jit.blocks.compiled"] == jit.stats.compiled
     assert metrics["jit.exec.blocks"] == jit.stats.block_execs
     assert 0.0 < metrics["jit.exec.trace_ratio"] <= 1.0
+
+
+@pytest.mark.parametrize("mode,dift,dift_mode",
+                         MODES[:2], ids=[m[0] for m in MODES[:2]])
+@pytest.mark.parametrize("name", ["qsort", "primes"])
+def test_jit_covers_loops_with_forward_branches(name, mode, dift, dift_mode):
+    """Loops that open with a top test or hold if-thens compile whole.
+
+    qsort's partition loop opens with ``bge`` and primes' trial division
+    holds forward branches; blocks that ended at every branch left most
+    of either guest to the interpreter.
+    """
+    (_, _), (p_on, _) = _run_pair(name, dift, dift_mode)
+    assert p_on.jit.trace_ratio() >= 0.9
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +213,340 @@ def test_jit_self_modifying_code():
     mismatches = _doc_diff(p_off.snapshot_document(),
                            p_on.snapshot_document())
     assert not mismatches, mismatches[:8]
+
+
+# ---------------------------------------------------------------------------
+# block shapes: superblocks that run through forward branches
+# ---------------------------------------------------------------------------
+
+_MODE_IDS = [m[0] for m in MODES]
+
+
+def _shape_pair(program, dift: bool, dift_mode: str, policy=None,
+                engine_mode: str = "record", budget: int = BUDGET):
+    """One hand-written guest interpreter-only and trace-compiled.
+
+    ``policy`` defaults to :func:`benchmark_policy`: all three execution
+    clearances on and RAM at bottom, so DIFT blocks carry every
+    clearance lookup and demand mode stays on its clean (plain-block)
+    path.  Asserts identical observables and returns the jit-on
+    platform; a RAISE-mode clearance error is an observable too.
+    """
+    runs = []
+    for jit in (False, JIT_THRESHOLD):
+        platform = Platform.from_config(PlatformConfig(
+            policy=(policy or benchmark_policy()) if dift else None,
+            engine_mode=engine_mode, dift_mode=dift_mode, jit=jit))
+        platform.load(program)
+        try:
+            result = platform.run(max_instructions=budget)
+            outcome = (result.reason, result.exit_code,
+                       [str(v) for v in result.violations])
+        except ExecutionClearanceError as err:
+            outcome = ("raised", str(err))
+        runs.append((platform, outcome))
+    (p_off, o_off), (p_on, o_on) = runs
+    assert o_on == o_off
+    assert p_on.total_instructions == p_off.total_instructions
+    assert p_on.console() == p_off.console()
+    mismatches = _doc_diff(p_off.snapshot_document(),
+                           p_on.snapshot_document())
+    assert not mismatches, mismatches[:8]
+    return p_on
+
+
+def _shape_program(source: str):
+    return assemble(runtime.program(source, include_lib=False))
+
+
+def _entry_block(platform, dift_mode: str, entry: int):
+    """The compiled block at ``entry``: DIFT blocks in full mode, plain
+    blocks on the plain VP and on demand mode's clean path."""
+    jit = platform.jit
+    blocks = jit.blocks_dift if platform.cpu.dift is not None \
+        and dift_mode == "full" else jit.blocks_plain
+    return blocks.get(entry)
+
+
+_TOP_TESTED = """
+.text
+main:
+    la   s0, table
+    li   t0, 0
+    li   t1, 240
+    li   a0, 0
+head:
+    bge  t0, t1, done       # the whole loop header: one forward branch
+    andi t2, t0, 15
+    slli t2, t2, 2
+    add  t2, s0, t2
+    lw   t3, 0(t2)
+    add  a0, a0, t3
+    xor  t3, t3, a0
+    sw   t3, 0(t2)
+    addi t0, t0, 1
+    j    head
+done:
+    li   a0, 0
+    ret
+.data
+.align 4
+table:
+    .space 64
+"""
+
+
+@pytest.mark.parametrize("mode,dift,dift_mode", MODES, ids=_MODE_IDS)
+def test_top_tested_loop_compiles_as_one_loop(mode, dift, dift_mode):
+    program = _shape_program(_TOP_TESTED)
+    p_on = _shape_pair(program, dift, dift_mode)
+    blk = _entry_block(p_on, dift_mode, program.symbol("head"))
+    assert blk is not None and blk.loop and blk.length == 10
+    assert p_on.jit.trace_ratio() >= 0.8
+
+
+_IF_THEN = """
+.text
+main:
+    li   t0, 400
+    li   a0, 0
+    li   a1, 0
+loop:
+    andi t1, t0, 1
+    beqz t1, even           # if-then
+    addi a0, a0, 3
+even:
+    andi t1, t0, 6
+    beqz t1, join           # outer if-then
+    addi a1, a1, 1
+    andi t2, t0, 2
+    beqz t2, join           # nested, joining where the outer one does
+    addi a1, a1, 5
+    andi t3, t0, 4
+    bnez t3, inner          # nested twice, joining earlier
+    addi a0, a0, 7
+inner:
+    xor  a0, a0, a1
+join:
+    beq  t1, t2, next       # a branch to pc + 4
+next:
+    addi t0, t0, -1
+    bnez t0, loop
+    li   a0, 0
+    ret
+"""
+
+
+@pytest.mark.parametrize("mode,dift,dift_mode", MODES, ids=_MODE_IDS)
+def test_if_then_regions_inside_a_loop(mode, dift, dift_mode):
+    program = _shape_program(_IF_THEN)
+    p_on = _shape_pair(program, dift, dift_mode)
+    blk = _entry_block(p_on, dift_mode, program.symbol("loop"))
+    assert blk is not None and blk.loop and blk.length == 16
+    assert p_on.jit.trace_ratio() >= 0.9
+
+
+_INNER_EXITS = """
+.text
+main:
+    li   t0, 400
+    li   a0, 0
+    li   a1, 0
+loop:
+    andi t1, t0, 15
+    beqz t1, rare           # past the block's end
+    andi t2, t0, 3
+    beqz t2, join           # opens a skip region ...
+    andi t3, t0, 1
+    bnez t3, cross          # ... that this target crosses
+    addi a0, a0, 2
+join:
+    addi a0, a0, 4
+cross:
+    addi t0, t0, -1
+    bnez t0, loop
+    j    done
+rare:
+    addi a1, a1, 1
+    addi t0, t0, -1
+    bnez t0, loop
+done:
+    li   a0, 0
+    ret
+"""
+
+
+@pytest.mark.parametrize("mode,dift,dift_mode", MODES, ids=_MODE_IDS)
+def test_branches_out_of_the_block_or_across_a_region_exit(
+        mode, dift, dift_mode):
+    program = _shape_program(_INNER_EXITS)
+    p_on = _shape_pair(program, dift, dift_mode)
+    blk = _entry_block(p_on, dift_mode, program.symbol("loop"))
+    assert blk is not None and blk.loop
+    for label in ("rare", "cross"):
+        assert f"x = {program.symbol(label)}\n" in blk.source, label
+
+
+#: ``beq t1, zero, pc + 6``: the assembler only encodes aligned targets
+_BEQ_T1_PLUS_6 = 0x00030363
+
+_MISALIGNED_TARGET = f"""
+.text
+main:
+    li   t0, 300
+    li   a0, 0
+loop:
+    addi t1, t0, -1         # zero on the last iteration only
+    .word {_BEQ_T1_PLUS_6:#x}
+    addi a0, a0, 1
+    addi a0, a0, 2
+    addi t0, t0, -1
+    bnez t0, loop
+    li   a0, 0
+    ret
+"""
+
+
+@pytest.mark.parametrize("mode,dift,dift_mode", MODES, ids=_MODE_IDS)
+def test_branch_to_a_misaligned_target_exits(mode, dift, dift_mode):
+    program = _shape_program(_MISALIGNED_TARGET)
+    p_on = _shape_pair(program, dift, dift_mode)
+    loop = program.symbol("loop")
+    blk = _entry_block(p_on, dift_mode, loop)
+    assert blk is not None and blk.loop
+    assert f"x = {loop + 4 + 6}\n" in blk.source
+    assert p_on.cpu.halted and "cause=0 " in p_on.cpu.fault_info
+
+
+_TAINTED_CONDITION = """
+.text
+main:
+    la   s0, secret
+    li   t0, 64
+    li   a0, 0
+    li   t3, 0
+loop:
+    andi t1, t0, 3
+    beqz t1, skip           # a clean inner branch
+    addi a0, a0, 1
+skip:
+    bltu t3, t1, skip2      # tainted once t3 holds the secret
+    addi a0, a0, 2
+skip2:
+    addi t0, t0, -1
+    li   t4, 16
+    bne  t0, t4, cont
+    lbu  t3, 0(s0)          # late in the run: compiled by then
+cont:
+    bnez t0, loop
+    li   a0, 0
+    ret
+.data
+secret:
+    .byte 1
+"""
+
+
+@pytest.mark.parametrize("engine_mode", ["record", "raise"])
+@pytest.mark.parametrize("dift_mode", ["full", "demand"])
+def test_tainted_inner_branch_condition(dift_mode, engine_mode):
+    """The inner ``bltu`` side-exits to the interpreter, which makes the
+    ``check_execution`` call: RECORD mode records one violation per
+    iteration, RAISE mode raises at the first."""
+    program = _shape_program(_TAINTED_CONDITION)
+    policy = benchmark_policy()
+    secret = program.symbol("secret")
+    policy.classify_region(secret, secret + 1, builders.HC_HI)
+    p_on = _shape_pair(program, True, dift_mode, policy=policy,
+                       engine_mode=engine_mode)
+    assert p_on.engine.violations
+    if dift_mode == "full":
+        assert p_on.jit.stats.side_exits > 0
+
+
+_STORE_FROM_SKIP = """
+.text
+main:
+    li   t0, 200
+    li   a0, 0
+    la   t5, patch
+    lw   t6, 0(t5)
+    sw   t6, 0(t5)          # an unchanged rewrite that decodes the
+                            # store's word before the loop compiles
+    li   t6, 0x00250513     # addi a0, a0, 2
+loop:
+    addi t1, t0, -100
+    bnez t1, patch          # skips the store on all but one iteration
+    sw   t6, 0(t5)          # into this block's own code line
+patch:
+    addi a0, a0, 1          # addi a0, a0, 2 from then on
+    addi t0, t0, -1
+    bnez t0, loop
+    addi a0, a0, -300       # 100 * 1 + 100 * 2
+    ret
+"""
+
+
+@pytest.mark.parametrize("mode,dift,dift_mode", MODES, ids=_MODE_IDS)
+def test_store_into_own_line_from_a_skip_region(mode, dift, dift_mode):
+    program = _shape_program(_STORE_FROM_SKIP)
+    p_on = _shape_pair(program, dift, dift_mode)
+    assert p_on.cpu.halted and p_on.cpu.regs[10] == 0
+    assert p_on.jit.stats.smc_exits == 1
+    assert p_on.jit.stats.invalidated_blocks >= 1
+
+
+_UNEVEN_PATHS = """
+.text
+main:
+    li   t0, 100000
+    li   a0, 0
+loop:
+    andi t1, t0, 1
+    beqz t1, short          # 4 instructions on this path, 7 on the other
+    addi a0, a0, 1
+    xor  a0, a0, t0
+    slli a1, a0, 1
+short:
+    addi t0, t0, -1
+    bnez t0, loop
+    li   a0, 0
+    ret
+"""
+
+
+@pytest.mark.parametrize("mode,dift,dift_mode", MODES, ids=_MODE_IDS)
+def test_budget_ends_mid_iteration(mode, dift, dift_mode):
+    """Every residue of both path lengths: the looping block stops while
+    its longest path still fits, and the interpreter retires the rest."""
+    program = _shape_program(_UNEVEN_PATHS)
+    for budget in range(2_000, 2_008):
+        p_on = _shape_pair(program, dift, dift_mode, budget=budget)
+        assert p_on.total_instructions == budget
+        assert p_on.jit.stats.trace_instructions > budget // 2
+
+
+_MMIO_FIRST = """
+.text
+main:
+    li   t2, UART_STATUS
+    li   t0, 200
+loop:
+    lw   t1, 0(t2)          # MMIO: every entry side-exits, retiring nothing
+    addi t0, t0, -1
+    bnez t0, loop
+    li   a0, 0
+    ret
+"""
+
+
+@pytest.mark.parametrize("mode,dift,dift_mode", MODES[:2],
+                         ids=_MODE_IDS[:2])
+def test_barren_block_is_dropped_not_invalidated(mode, dift, dift_mode):
+    p_on = _shape_pair(_shape_program(_MMIO_FIRST), dift, dift_mode)
+    stats = p_on.jit.stats
+    assert stats.dropped == 1
+    assert stats.invalidated_blocks == 0
 
 
 # ---------------------------------------------------------------------------
