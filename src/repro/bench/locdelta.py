@@ -16,7 +16,9 @@ is small — carries over.
 
 from __future__ import annotations
 
+import io
 import re
+import tokenize
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List
@@ -74,23 +76,38 @@ class LocReport:
             f"[paper: 6.81% touched, 58.7% conversions]")
 
 
-def _is_code(line: str) -> bool:
-    stripped = line.strip()
-    return bool(stripped) and not stripped.startswith("#")
+#: tokens that are layout, not code
+_LAYOUT = frozenset((tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+                     tokenize.ENDMARKER))
+
+
+def _code_lines(text: str) -> List[int]:
+    """Numbers of the lines that hold code.
+
+    Blank lines, comments and docstrings (any string literal that is a
+    statement of its own) do not count, wherever the docstring's quotes
+    open or close.
+    """
+    tokens = [tok for tok in tokenize.generate_tokens(io.StringIO(text).readline)
+              if tok.type not in (tokenize.COMMENT, tokenize.NL)]
+    lines = set()
+    for i, tok in enumerate(tokens):
+        if tok.type in _LAYOUT:
+            continue
+        if (tok.type == tokenize.STRING
+                and (i == 0 or tokens[i - 1].type in _LAYOUT)
+                and tokens[i + 1].type == tokenize.NEWLINE):
+            continue
+        lines.update(range(tok.start[0], tok.end[0] + 1))
+    return sorted(lines)
 
 
 def analyze_file(path: Path) -> FileDelta:
+    text = path.read_text()
+    lines = text.splitlines()
     code = dift = conv = 0
-    in_docstring = False
-    for line in path.read_text().splitlines():
-        stripped = line.strip()
-        if stripped.startswith(('"""', "'''")):
-            # toggle (handles the one-line docstring case too)
-            if not (len(stripped) > 3 and stripped.endswith(('"""', "'''"))):
-                in_docstring = not in_docstring
-            continue
-        if in_docstring or not _is_code(line):
-            continue
+    for number in _code_lines(text):
+        line = lines[number - 1]
         code += 1
         if _DIFT_MARKERS.search(line):
             dift += 1

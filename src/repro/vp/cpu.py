@@ -5,7 +5,7 @@ process that executes a *quantum* of instructions and then yields simulated
 time (loosely-timed modelling, fixed CPI), exactly how the original RISC-V
 VP structures its ISS.
 
-Two execution loops are provided:
+Two execution loops are provided, compiled from one source:
 
 * :meth:`Cpu.run` in **plain** mode (``dift=None``) — the baseline VP.
 * :meth:`Cpu.run` in **DIFT** mode — the VP+ of the paper: every register
@@ -14,9 +14,17 @@ Two execution loops are provided:
   performed (instruction fetch, branch condition / indirect-jump target /
   trap-handler address, and memory-access address).
 
-The loops are intentionally written as two separate flat functions rather
-than one parameterized loop: the plain VP must not pay for DIFT hooks it
-does not use, or the Table II overhead comparison would be dishonest.
+The quantum loop is written once, as the template ``Cpu._interp``: code
+only the VP+ runs sits under ``if _DIFT:``, code only the VP runs (demand
+mode's hand-over to the DIFT loop) under ``if not _DIFT:``.  At import,
+:func:`_specialize` compiles it twice, with ``_DIFT`` replaced by
+``False`` and by ``True``, into ``Cpu._interp_plain`` and
+``Cpu._interp_dift``.  CPython drops the dead branch of a constant test,
+so the plain loop holds no DIFT bytecode and no flag test: the VP pays
+for no DIFT hook, and the Table II overhead comparison stays honest.
+Both loops keep the template's file and line numbers, so tracebacks,
+coverage and ``inspect.getsource`` show the template's lines, while a
+profile lists ``_interp_plain`` and ``_interp_dift`` as two entries.
 
 RAM is accessed through a DMI pointer (``ram``/``ram_tags``) granted by the
 memory module; everything else goes through TLM transactions whose payloads
@@ -95,6 +103,10 @@ DIFT_DEMAND = "demand" # fast path while the machine is provably clean
 DIFT_MODES = (DIFT_FULL, DIFT_DEMAND)
 
 _MASK32 = 0xFFFFFFFF
+
+#: the interpreter template's flag; _specialize() replaces it with a
+#: literal before compiling, so this binding is never read
+_DIFT = False
 
 
 class Cpu(Module):
@@ -575,9 +587,14 @@ class Cpu(Module):
             reason = QUANTUM
         return executed, reason
 
-    # ---- plain VP -------------------------------------------------------- #
+    # ---- the interpreter template ---------------------------------------- #
+    #
+    # _specialize() compiles this into _interp_plain (_DIFT = False) and
+    # _interp_dift (_DIFT = True).  Keep every flag test bare -- `if
+    # _DIFT:`, `if not _DIFT:`, `else:` -- so the compiler drops the dead
+    # branch: 3.9 keeps `if _DIFT and x:` as a run-time test.
 
-    def _interp_plain(self, n: int) -> Tuple[int, str]:
+    def _interp(self, n: int) -> Tuple[int, str]:
         regs = self.regs
         ram = self.ram
         ram32 = self.ram32
@@ -586,34 +603,64 @@ class Cpu(Module):
         cache = self._decode_cache
         decode = D.decode
         csr = self.csr
+        bottom = self._bottom
         pc = self.pc
         executed = 0
         reason = QUANTUM
         frombytes = int.from_bytes
-        # demand mode only: watch MMIO for taint entering a clean machine
+        # demand mode only (None otherwise): the plain loop watches MMIO
+        # for taint entering a clean machine, the DIFT loop records which
+        # RAM pages receive non-bottom tags so reclaiming the clean state
+        # scans dirty pages, not all of RAM
         live = self._live
-        bottom = self._bottom
+        if _DIFT:
+            dift = self.dift
+            assert dift is not None
+            tags = self.tags
+            mtags = self.ram_tags
+            tags32 = self.tags32
+            assert mtags is not None
+            lub = dift.lub
+            flow = dift.flow
+            zero_is_bottom = bottom == 0
+            fetch_req = self._fetch_req
+            branch_req = self._branch_req
+            memaddr_req = self._memaddr_req
+            # event-stream recording (None on un-recorded runs)
+            emitq = self._emitq
+            dirty = live.dirty_pages if live is not None else None
         # trace compiler hooks: code-line stores invalidate superblocks,
         # taken backward branches feed the hotness profiler and yield to
-        # the dispatcher when they land on a compiled block entry
+        # the dispatcher when they land on a compiled block entry.  SMC
+        # invalidation is armed whenever a JIT is attached (demand-dirty
+        # stores must invalidate the clean path's plain blocks too); DIFT
+        # blocks fuse full-mode propagation only, so the DIFT loop
+        # profiles only outside demand mode.
         jit = self._jit
-        if jit is not None:
-            jcl = jit.code_lines
+        jcl = jit.code_lines if jit is not None else None
+        jhot = jready = jblocks = None
+        jthreshold = 0
+        if _DIFT:
+            if jit is not None and live is None:
+                jhot = jit.hot_dift
+                jready = jit.ready_dift
+                jthreshold = jit.threshold
+                jblocks = jit.blocks_dift
+        elif jit is not None:
             jhot = jit.hot_plain
             jready = jit.ready_plain
             jthreshold = jit.threshold
             jblocks = jit.blocks_plain
-        else:
-            jcl = None
-            jhot = None
-            jready = None
-            jthreshold = 0
-            jblocks = None
 
         while executed < n:
             if self._take_irq:
                 self.pc = pc
-                self._take_interrupt()
+                if _DIFT:
+                    if not self._take_interrupt():
+                        reason = SECURITY
+                        break
+                else:
+                    self._take_interrupt()
                 pc = self.pc
 
             if pc < ram_base or pc + 4 > ram_end or pc & 3:
@@ -626,7 +673,34 @@ class Cpu(Module):
                     break
                 pc = self.pc
                 continue
-            word = ram32[(pc - ram_base) >> 2]
+            off = pc - ram_base
+
+            if _DIFT:
+                # --- fetch clearance (Section V-B2b) --- #
+                if fetch_req is not None:
+                    tw = tags32[off >> 2]
+                    if tw or not zero_is_bottom:
+                        # a uniform tag word is its own LUB; only a mixed
+                        # word folds its four bytes
+                        itag = tw & 0xFF
+                        if tw != itag * 0x01010101:
+                            itag = lub[lub[lub[itag][mtags[off + 1]]]
+                                       [mtags[off + 2]]][mtags[off + 3]]
+                        if not flow[itag][fetch_req]:
+                            self.pc = pc
+                            if not dift.check_execution("fetch", itag,
+                                                        fetch_req, pc):
+                                if emitq is not None:
+                                    # fetch-rejected instructions are
+                                    # never decoded, so the stream carries
+                                    # a bare step packet whatever the
+                                    # opcode
+                                    emitq.append((EV_STEP, pc,
+                                                  ram32[off >> 2]))
+                                reason = SECURITY
+                                break
+
+            word = ram32[off >> 2]
             d = cache.get(word)
             if d is None:
                 d = decode(word)
@@ -635,9 +709,22 @@ class Cpu(Module):
             op = d[0]
             executed += 1
             next_pc = pc + 4
+            if _DIFT:
+                if emitq is not None and (op <= D.BGEU or op > D.SW):
+                    emitq.append((EV_STEP, pc, word))
 
             if op <= D.BGEU:  # control transfer group (ids 0..9)
                 if op >= D.BEQ:
+                    if _DIFT:
+                        # --- branch-condition clearance (Section V-B2a) --- #
+                        if branch_req is not None:
+                            ctag = lub[tags[d[2]]][tags[d[3]]]
+                            if not flow[ctag][branch_req]:
+                                self.pc = pc
+                                if not dift.check_execution(
+                                        "branch", ctag, branch_req, pc):
+                                    reason = SECURITY
+                                    break
                     a = regs[d[2]]
                     b = regs[d[3]]
                     if op == D.BEQ:
@@ -671,6 +758,8 @@ class Cpu(Module):
                 elif op == D.JAL:
                     if d[1]:
                         regs[d[1]] = next_pc
+                        if _DIFT:
+                            tags[d[1]] = bottom
                     next_pc = (pc + d[4]) & _MASK32
                     # backward jumps are loop closers; linking jumps are
                     # calls — both name stable, re-visited entry points
@@ -687,9 +776,20 @@ class Cpu(Module):
                             csr.cycle += executed
                             return executed, _BLOCKHIT
                 elif op == D.JALR:
+                    if _DIFT:
+                        # --- indirect-jump target clearance --- #
+                        if branch_req is not None \
+                                and not flow[tags[d[2]]][branch_req]:
+                            self.pc = pc
+                            if not dift.check_execution(
+                                    "branch", tags[d[2]], branch_req, pc):
+                                reason = SECURITY
+                                break
                     target = (regs[d[2]] + d[4]) & 0xFFFFFFFE
                     if d[1]:
                         regs[d[1]] = next_pc
+                        if _DIFT:
+                            tags[d[1]] = bottom
                     next_pc = target
                     if jhot is not None and d[1]:
                         # indirect call: the target (a function entry)
@@ -708,52 +808,100 @@ class Cpu(Module):
                 elif op == D.LUI:
                     if d[1]:
                         regs[d[1]] = d[4]
+                        if _DIFT:
+                            tags[d[1]] = bottom
                 else:  # AUIPC
                     if d[1]:
                         regs[d[1]] = (pc + d[4]) & _MASK32
+                        if _DIFT:
+                            tags[d[1]] = bottom
 
             elif op <= D.LHU:  # loads
                 addr = (regs[d[2]] + d[4]) & _MASK32
                 size = 4 if op == D.LW else (2 if op in (D.LH, D.LHU) else 1)
+                if _DIFT:
+                    # --- memory-address clearance (Section V-B2c) --- #
+                    if memaddr_req is not None \
+                            and not flow[tags[d[2]]][memaddr_req]:
+                        self.pc = pc
+                        if not dift.check_execution(
+                                "mem-addr", tags[d[2]], memaddr_req, pc):
+                            if emitq is not None:
+                                # the stopped load's packet; out of RAM a
+                                # placeholder with a bottom payload tag
+                                emitq.append(
+                                    (EV_LOAD, pc, word, addr)
+                                    if ram_base <= addr
+                                    and addr + size <= ram_end
+                                    else (EV_MMIO_LOAD, pc, word, addr,
+                                          bottom))
+                            reason = SECURITY
+                            break
                 if ram_base <= addr and addr + size <= ram_end:
+                    if _DIFT:
+                        if emitq is not None:
+                            emitq.append((EV_LOAD, pc, word, addr))
                     o = addr - ram_base
                     if op == D.LW:
                         if o & 3:
                             value = frombytes(ram[o:o + 4], "little")
+                            if _DIFT:
+                                t = lub[lub[lub[mtags[o]][mtags[o + 1]]]
+                                        [mtags[o + 2]]][mtags[o + 3]]
                         else:
                             value = ram32[o >> 2]
+                            if _DIFT:
+                                tw = tags32[o >> 2]
+                                t = tw & 0xFF
+                                if tw != t * 0x01010101:
+                                    t = lub[lub[lub[t][mtags[o + 1]]]
+                                            [mtags[o + 2]]][mtags[o + 3]]
                     elif op == D.LBU:
                         value = ram[o]
+                        if _DIFT:
+                            t = mtags[o]
                     elif op == D.LB:
                         value = ram[o]
                         if value >= 0x80:
                             value += 0xFFFFFF00
+                        if _DIFT:
+                            t = mtags[o]
                     elif op == D.LHU:
                         value = ram[o] | (ram[o + 1] << 8)
+                        if _DIFT:
+                            t = lub[mtags[o]][mtags[o + 1]]
                     else:  # LH
                         value = ram[o] | (ram[o + 1] << 8)
                         if value >= 0x8000:
                             value += 0xFFFF0000
+                        if _DIFT:
+                            t = lub[mtags[o]][mtags[o + 1]]
                 else:
                     self.pc = pc
                     try:
-                        size = 4 if op == D.LW else (1 if op in (D.LB, D.LBU)
-                                                     else 2)
                         value, t = self._mmio_read(addr, size)
                         if op == D.LB and value >= 0x80:
                             value += 0xFFFFFF00
                         elif op == D.LH and value >= 0x8000:
                             value += 0xFFFF0000
                     except BusError:
+                        if _DIFT:
+                            if emitq is not None:
+                                emitq.append((EV_FAULT_ACCESS, pc, word,
+                                              addr))
                         stop = self._fault(CSR.CAUSE_LOAD_FAULT, addr)
                         if stop:
                             reason = stop
                             break
                         pc = self.pc
                         continue
-                    if live is not None and t != bottom:
-                        # tainted peripheral read: retire this instruction
-                        # with its tag, then fall back to the full loop
+                    if _DIFT:
+                        if emitq is not None:
+                            emitq.append((EV_MMIO_LOAD, pc, word, addr, t))
+                    elif live is not None and t != bottom:
+                        # demand mode: a tainted peripheral read retires
+                        # with its tag, then the quantum continues on the
+                        # DIFT loop
                         if d[1]:
                             regs[d[1]] = value & _MASK32
                             self.tags[d[1]] = t
@@ -764,30 +912,73 @@ class Cpu(Module):
                         return executed, RETAINT
                 if d[1]:
                     regs[d[1]] = value & _MASK32
+                    if _DIFT:
+                        tags[d[1]] = t
 
             elif op <= D.SW:  # stores
                 addr = (regs[d[2]] + d[4]) & _MASK32
-                value = regs[d[3]]
                 size = 4 if op == D.SW else (1 if op == D.SB else 2)
+                if _DIFT:
+                    if memaddr_req is not None \
+                            and not flow[tags[d[2]]][memaddr_req]:
+                        self.pc = pc
+                        if not dift.check_execution(
+                                "mem-addr", tags[d[2]], memaddr_req, pc):
+                            if emitq is not None:
+                                emitq.append(
+                                    (EV_STORE if ram_base <= addr
+                                     and addr + size <= ram_end
+                                     else EV_MMIO_STORE, pc, word, addr))
+                            reason = SECURITY
+                            break
+                    t = tags[d[3]]
+                value = regs[d[3]]
                 if ram_base <= addr and addr + size <= ram_end:
+                    if _DIFT:
+                        if emitq is not None:
+                            emitq.append((EV_STORE, pc, word, addr))
                     o = addr - ram_base
                     if op == D.SW:
                         if o & 3:
                             ram[o:o + 4] = value.to_bytes(4, "little")
+                            if _DIFT:
+                                mtags[o] = t
+                                mtags[o + 1] = t
+                                mtags[o + 2] = t
+                                mtags[o + 3] = t
                         else:
                             ram32[o >> 2] = value
+                            if _DIFT:
+                                tags32[o >> 2] = t * 0x01010101
                     elif op == D.SB:
                         ram[o] = value & 0xFF
+                        if _DIFT:
+                            mtags[o] = t
                     else:
                         ram[o] = value & 0xFF
                         ram[o + 1] = (value >> 8) & 0xFF
+                        if _DIFT:
+                            mtags[o] = t
+                            mtags[o + 1] = t
+                    if _DIFT:
+                        if dirty is not None and t != bottom:
+                            dirty.add(o >> 12)
+                            dirty.add((o + size - 1) >> 12)
                     if jcl and (o >> 4 in jcl
                                 or (o + size - 1) >> 4 in jcl):
                         jit.invalidate_write(o, size)
                 else:
                     self.pc = pc
+                    if _DIFT:
+                        if emitq is not None:
+                            # emitted before the transaction so recorded
+                            # sink checks (fired inside it) follow their
+                            # cause
+                            emitq.append((EV_MMIO_STORE, pc, word, addr))
+                    else:
+                        t = bottom
                     try:
-                        self._mmio_write(addr, size, value, self._bottom)
+                        self._mmio_write(addr, size, value, t)
                     except BusError:
                         stop = self._fault(CSR.CAUSE_STORE_FAULT, addr)
                         if stop:
@@ -795,13 +986,15 @@ class Cpu(Module):
                             break
                         pc = self.pc
                         continue
-                    if live is not None and not live.clean:
-                        # the write triggered a synchronous taint side
-                        # effect (e.g. peripheral DMA into RAM)
-                        self.pc = next_pc
-                        csr.instret += executed
-                        csr.cycle += executed
-                        return executed, RETAINT
+                    if not _DIFT:
+                        if live is not None and not live.clean:
+                            # demand mode: the write had a synchronous
+                            # taint side effect (e.g. peripheral DMA
+                            # into RAM)
+                            self.pc = next_pc
+                            csr.instret += executed
+                            csr.cycle += executed
+                            return executed, RETAINT
 
             elif op <= D.ANDI:  # immediate ALU
                 a = regs[d[2]]
@@ -821,6 +1014,8 @@ class Cpu(Module):
                     value = 1 if sa < imm else 0
                 if d[1]:
                     regs[d[1]] = value
+                    if _DIFT:
+                        tags[d[1]] = tags[d[2]]
 
             elif op <= D.SRAI:  # immediate shifts
                 a = regs[d[2]]
@@ -834,6 +1029,8 @@ class Cpu(Module):
                     value = (sa >> sh) & _MASK32
                 if d[1]:
                     regs[d[1]] = value
+                    if _DIFT:
+                        tags[d[1]] = tags[d[2]]
 
             elif op <= D.AND:  # register ALU
                 a = regs[d[2]]
@@ -863,11 +1060,15 @@ class Cpu(Module):
                     value = 1 if sa < sb else 0
                 if d[1]:
                     regs[d[1]] = value
+                    if _DIFT:
+                        tags[d[1]] = lub[tags[d[2]]][tags[d[3]]]
 
             elif op <= D.REMU:  # M extension
                 value = _muldiv(op, regs[d[2]], regs[d[3]])
                 if d[1]:
                     regs[d[1]] = value
+                    if _DIFT:
+                        tags[d[1]] = lub[tags[d[2]]][tags[d[3]]]
 
             elif op == D.FENCE:
                 pass
@@ -898,6 +1099,16 @@ class Cpu(Module):
                 return executed, EBREAK
 
             elif op == D.MRET:
+                if _DIFT:
+                    # --- return-address clearance: mepc is a jump target --- #
+                    if branch_req is not None:
+                        epc_tag = csr.tag(CSR.MEPC)
+                        if not flow[epc_tag][branch_req]:
+                            self.pc = pc
+                            if not dift.check_execution(
+                                    "branch", epc_tag, branch_req, pc):
+                                reason = SECURITY
+                                break
                 mstatus = csr[CSR.MSTATUS]
                 mie = CSR.MSTATUS_MIE if mstatus & CSR.MSTATUS_MPIE else 0
                 csr[CSR.MSTATUS] = mie | CSR.MSTATUS_MPIE
@@ -925,501 +1136,6 @@ class Cpu(Module):
                 continue
 
             else:  # ILLEGAL
-                self.pc = pc
-                stop = self._fault(CSR.CAUSE_ILLEGAL, d[4])
-                if stop:
-                    reason = stop
-                    break
-                pc = self.pc
-                continue
-
-            pc = next_pc
-
-        self.pc = pc
-        csr.instret += executed
-        csr.cycle += executed
-        return executed, reason
-
-    # ---- VP+ (DIFT) -------------------------------------------------------- #
-
-    def _interp_dift(self, n: int) -> Tuple[int, str]:
-        dift = self.dift
-        assert dift is not None
-        regs = self.regs
-        tags = self.tags
-        ram = self.ram
-        ram32 = self.ram32
-        mtags = self.ram_tags
-        tags32 = self.tags32
-        assert mtags is not None
-        ram_base = self.ram_base
-        ram_end = self.ram_end
-        cache = self._decode_cache
-        decode = D.decode
-        csr = self.csr
-        lub = dift.lub
-        flow = dift.flow
-        bottom = self._bottom
-        zero_is_bottom = bottom == 0
-        fetch_req = self._fetch_req
-        branch_req = self._branch_req
-        memaddr_req = self._memaddr_req
-        pc = self.pc
-        executed = 0
-        reason = QUANTUM
-        frombytes = int.from_bytes
-        # event-stream recording (None on un-recorded runs)
-        emitq = self._emitq
-        # demand mode only: record which RAM pages receive non-bottom tags
-        # so reclaiming the clean state scans dirty pages, not all of RAM.
-        # The dirty set is the level-1 presence summary over the flat RAM
-        # shadow (see repro.dift.shadow's hierarchy): reclaim scans prune
-        # it, and this store path is the re-taint edge that makes the
-        # pruning sound — every non-bottom store re-adds its page.  The
-        # per-instruction cost stays a bare set.add; nothing here may
-        # grow into a summary update.
-        live = self._live
-        dirty = live.dirty_pages if live is not None else None
-        # trace compiler hooks.  SMC invalidation is armed whenever a
-        # JIT is attached (demand-dirty stores must invalidate the clean
-        # path's plain blocks too); hotness profiling only feeds the
-        # dispatcher that actually runs DIFT blocks (full mode).
-        jit = self._jit
-        jcl = jit.code_lines if jit is not None else None
-        if jit is not None and live is None:
-            jhot = jit.hot_dift
-            jready = jit.ready_dift
-            jthreshold = jit.threshold
-            jblocks = jit.blocks_dift
-        else:
-            jhot = None
-            jready = None
-            jthreshold = 0
-            jblocks = None
-
-        while executed < n:
-            if self._take_irq:
-                self.pc = pc
-                if not self._take_interrupt():
-                    reason = SECURITY
-                    break
-                pc = self.pc
-
-            if pc < ram_base or pc + 4 > ram_end or pc & 3:
-                self.pc = pc
-                cause = (CSR.CAUSE_INSTR_MISALIGNED if pc & 3
-                         else CSR.CAUSE_INSTR_FAULT)
-                stop = self._fault(cause, pc)
-                if stop:
-                    reason = stop
-                    break
-                pc = self.pc
-                continue
-            off = pc - ram_base
-
-            # --- fetch clearance (Section V-B2b) --- #
-            if fetch_req is not None:
-                tw = tags32[off >> 2]
-                if tw or not zero_is_bottom:
-                    # a uniform tag word is its own LUB; only a mixed
-                    # word folds its four bytes
-                    itag = tw & 0xFF
-                    if tw != itag * 0x01010101:
-                        itag = lub[lub[lub[itag][mtags[off + 1]]]
-                                   [mtags[off + 2]]][mtags[off + 3]]
-                    if not flow[itag][fetch_req]:
-                        self.pc = pc
-                        if not dift.check_execution("fetch", itag, fetch_req,
-                                                    pc):
-                            if emitq is not None:
-                                # fetch-rejected instructions are never
-                                # decoded, so the stream carries a bare
-                                # step packet whatever the opcode
-                                emitq.append((EV_STEP, pc, ram32[off >> 2]))
-                            reason = SECURITY
-                            break
-
-            word = ram32[off >> 2]
-            d = cache.get(word)
-            if d is None:
-                d = decode(word)
-                cache[word] = d
-                self.decode_misses += 1
-            op = d[0]
-            executed += 1
-            next_pc = pc + 4
-            if emitq is not None and (op <= D.BGEU or op > D.SW):
-                emitq.append((EV_STEP, pc, word))
-
-            if op <= D.BGEU:
-                if op >= D.BEQ:
-                    rs1 = d[2]
-                    rs2 = d[3]
-                    a = regs[rs1]
-                    b = regs[rs2]
-                    # --- branch-condition clearance (Section V-B2a) --- #
-                    if branch_req is not None:
-                        ctag = lub[tags[rs1]][tags[rs2]]
-                        if not flow[ctag][branch_req]:
-                            self.pc = pc
-                            if not dift.check_execution("branch", ctag,
-                                                        branch_req, pc):
-                                reason = SECURITY
-                                break
-                    if op == D.BEQ:
-                        taken = a == b
-                    elif op == D.BNE:
-                        taken = a != b
-                    elif op == D.BLTU:
-                        taken = a < b
-                    elif op == D.BGEU:
-                        taken = a >= b
-                    else:
-                        sa = a - 0x100000000 if a >= 0x80000000 else a
-                        sb = b - 0x100000000 if b >= 0x80000000 else b
-                        taken = sa < sb if op == D.BLT else sa >= sb
-                    if taken:
-                        next_pc = (pc + d[4]) & _MASK32
-                        if jhot is not None and d[4] < 0:
-                            # taken backward branch: canonical loop
-                            # header — count it toward compilation
-                            c = jhot.get(next_pc, 0)
-                            if c >= 0:
-                                c += 1
-                                jhot[next_pc] = c
-                                if c == jthreshold:
-                                    jready.append(next_pc)
-                            if next_pc in jblocks:
-                                self.pc = next_pc
-                                csr.instret += executed
-                                csr.cycle += executed
-                                return executed, _BLOCKHIT
-                elif op == D.JAL:
-                    if d[1]:
-                        regs[d[1]] = next_pc
-                        tags[d[1]] = bottom
-                    next_pc = (pc + d[4]) & _MASK32
-                    # backward jumps are loop closers; linking jumps are
-                    # calls — both name stable, re-visited entry points
-                    if jhot is not None and (d[4] < 0 or d[1]):
-                        c = jhot.get(next_pc, 0)
-                        if c >= 0:
-                            c += 1
-                            jhot[next_pc] = c
-                            if c == jthreshold:
-                                jready.append(next_pc)
-                        if next_pc in jblocks:
-                            self.pc = next_pc
-                            csr.instret += executed
-                            csr.cycle += executed
-                            return executed, _BLOCKHIT
-                elif op == D.JALR:
-                    rs1 = d[2]
-                    # --- indirect-jump target clearance --- #
-                    if branch_req is not None and not flow[tags[rs1]][branch_req]:
-                        self.pc = pc
-                        if not dift.check_execution("branch", tags[rs1],
-                                                    branch_req, pc):
-                            reason = SECURITY
-                            break
-                    target = (regs[rs1] + d[4]) & 0xFFFFFFFE
-                    if d[1]:
-                        regs[d[1]] = next_pc
-                        tags[d[1]] = bottom
-                    next_pc = target
-                    if jhot is not None and d[1]:
-                        # indirect call: the target (a function entry)
-                        # is as stable as a direct call's
-                        c = jhot.get(next_pc, 0)
-                        if c >= 0:
-                            c += 1
-                            jhot[next_pc] = c
-                            if c == jthreshold:
-                                jready.append(next_pc)
-                        if next_pc in jblocks:
-                            self.pc = next_pc
-                            csr.instret += executed
-                            csr.cycle += executed
-                            return executed, _BLOCKHIT
-                elif op == D.LUI:
-                    if d[1]:
-                        regs[d[1]] = d[4]
-                        tags[d[1]] = bottom
-                else:  # AUIPC
-                    if d[1]:
-                        regs[d[1]] = (pc + d[4]) & _MASK32
-                        tags[d[1]] = bottom
-
-            elif op <= D.LHU:  # loads
-                rs1 = d[2]
-                addr = (regs[rs1] + d[4]) & _MASK32
-                size = 4 if op == D.LW else (2 if op in (D.LH, D.LHU) else 1)
-                in_ram = ram_base <= addr and addr + size <= ram_end
-                if emitq is not None and in_ram:
-                    emitq.append((EV_LOAD, pc, word, addr))
-                # --- memory-address clearance (Section V-B2c) --- #
-                if memaddr_req is not None and not flow[tags[rs1]][memaddr_req]:
-                    self.pc = pc
-                    if not dift.check_execution("mem-addr", tags[rs1],
-                                                memaddr_req, pc):
-                        if emitq is not None and not in_ram:
-                            # never transacted: a placeholder MMIO packet
-                            # with a bottom payload tag closes the stream
-                            emitq.append((EV_MMIO_LOAD, pc, word, addr,
-                                          bottom))
-                        reason = SECURITY
-                        break
-                if in_ram:
-                    o = addr - ram_base
-                    if op == D.LW:
-                        if o & 3:
-                            value = frombytes(ram[o:o + 4], "little")
-                            t = lub[lub[lub[mtags[o]][mtags[o + 1]]]
-                                    [mtags[o + 2]]][mtags[o + 3]]
-                        else:
-                            value = ram32[o >> 2]
-                            tw = tags32[o >> 2]
-                            t = tw & 0xFF
-                            if tw != t * 0x01010101:
-                                t = lub[lub[lub[t][mtags[o + 1]]]
-                                        [mtags[o + 2]]][mtags[o + 3]]
-                    elif op == D.LBU:
-                        value = ram[o]
-                        t = mtags[o]
-                    elif op == D.LB:
-                        value = ram[o]
-                        if value >= 0x80:
-                            value += 0xFFFFFF00
-                        t = mtags[o]
-                    elif op == D.LHU:
-                        value = ram[o] | (ram[o + 1] << 8)
-                        t = lub[mtags[o]][mtags[o + 1]]
-                    else:  # LH
-                        value = ram[o] | (ram[o + 1] << 8)
-                        if value >= 0x8000:
-                            value += 0xFFFF0000
-                        t = lub[mtags[o]][mtags[o + 1]]
-                else:
-                    self.pc = pc
-                    try:
-                        value, t = self._mmio_read(addr, size)
-                        if op == D.LB and value >= 0x80:
-                            value += 0xFFFFFF00
-                        elif op == D.LH and value >= 0x8000:
-                            value += 0xFFFF0000
-                    except BusError:
-                        if emitq is not None:
-                            emitq.append((EV_FAULT_ACCESS, pc, word, addr))
-                        stop = self._fault(CSR.CAUSE_LOAD_FAULT, addr)
-                        if stop:
-                            reason = stop
-                            break
-                        pc = self.pc
-                        continue
-                    if emitq is not None:
-                        emitq.append((EV_MMIO_LOAD, pc, word, addr, t))
-                if d[1]:
-                    regs[d[1]] = value & _MASK32
-                    tags[d[1]] = t
-
-            elif op <= D.SW:  # stores
-                rs1 = d[2]
-                addr = (regs[rs1] + d[4]) & _MASK32
-                size = 4 if op == D.SW else (1 if op == D.SB else 2)
-                in_ram = ram_base <= addr and addr + size <= ram_end
-                if emitq is not None and in_ram:
-                    emitq.append((EV_STORE, pc, word, addr))
-                if memaddr_req is not None and not flow[tags[rs1]][memaddr_req]:
-                    self.pc = pc
-                    if not dift.check_execution("mem-addr", tags[rs1],
-                                                memaddr_req, pc):
-                        if emitq is not None and not in_ram:
-                            emitq.append((EV_MMIO_STORE, pc, word, addr))
-                        reason = SECURITY
-                        break
-                value = regs[d[3]]
-                t = tags[d[3]]
-                if in_ram:
-                    o = addr - ram_base
-                    if op == D.SW:
-                        if o & 3:
-                            ram[o:o + 4] = value.to_bytes(4, "little")
-                            mtags[o] = t
-                            mtags[o + 1] = t
-                            mtags[o + 2] = t
-                            mtags[o + 3] = t
-                        else:
-                            ram32[o >> 2] = value
-                            tags32[o >> 2] = t * 0x01010101
-                    elif op == D.SB:
-                        ram[o] = value & 0xFF
-                        mtags[o] = t
-                    else:
-                        ram[o] = value & 0xFF
-                        ram[o + 1] = (value >> 8) & 0xFF
-                        mtags[o] = t
-                        mtags[o + 1] = t
-                    if dirty is not None and t != bottom:
-                        dirty.add(o >> 12)
-                        dirty.add((o + size - 1) >> 12)
-                    if jcl and (o >> 4 in jcl
-                                or (o + size - 1) >> 4 in jcl):
-                        jit.invalidate_write(o, size)
-                else:
-                    self.pc = pc
-                    if emitq is not None:
-                        # emitted before the transaction so recorded sink
-                        # checks (fired inside it) follow their cause
-                        emitq.append((EV_MMIO_STORE, pc, word, addr))
-                    try:
-                        self._mmio_write(addr, size, value, t)
-                    except BusError:
-                        stop = self._fault(CSR.CAUSE_STORE_FAULT, addr)
-                        if stop:
-                            reason = stop
-                            break
-                        pc = self.pc
-                        continue
-
-            elif op <= D.ANDI:  # immediate ALU
-                rs1 = d[2]
-                a = regs[rs1]
-                imm = d[4]
-                if op == D.ADDI:
-                    value = (a + imm) & _MASK32
-                elif op == D.ANDI:
-                    value = a & (imm & _MASK32)
-                elif op == D.ORI:
-                    value = a | (imm & _MASK32)
-                elif op == D.XORI:
-                    value = a ^ (imm & _MASK32)
-                elif op == D.SLTIU:
-                    value = 1 if a < (imm & _MASK32) else 0
-                else:
-                    sa = a - 0x100000000 if a >= 0x80000000 else a
-                    value = 1 if sa < imm else 0
-                if d[1]:
-                    regs[d[1]] = value
-                    tags[d[1]] = tags[rs1]
-
-            elif op <= D.SRAI:
-                rs1 = d[2]
-                a = regs[rs1]
-                sh = d[4]
-                if op == D.SLLI:
-                    value = (a << sh) & _MASK32
-                elif op == D.SRLI:
-                    value = a >> sh
-                else:
-                    sa = a - 0x100000000 if a >= 0x80000000 else a
-                    value = (sa >> sh) & _MASK32
-                if d[1]:
-                    regs[d[1]] = value
-                    tags[d[1]] = tags[rs1]
-
-            elif op <= D.AND:
-                rs1 = d[2]
-                rs2 = d[3]
-                a = regs[rs1]
-                b = regs[rs2]
-                if op == D.ADD:
-                    value = (a + b) & _MASK32
-                elif op == D.SUB:
-                    value = (a - b) & _MASK32
-                elif op == D.AND:
-                    value = a & b
-                elif op == D.OR:
-                    value = a | b
-                elif op == D.XOR:
-                    value = a ^ b
-                elif op == D.SLL:
-                    value = (a << (b & 31)) & _MASK32
-                elif op == D.SRL:
-                    value = a >> (b & 31)
-                elif op == D.SRA:
-                    sa = a - 0x100000000 if a >= 0x80000000 else a
-                    value = (sa >> (b & 31)) & _MASK32
-                elif op == D.SLTU:
-                    value = 1 if a < b else 0
-                else:
-                    sa = a - 0x100000000 if a >= 0x80000000 else a
-                    sb = b - 0x100000000 if b >= 0x80000000 else b
-                    value = 1 if sa < sb else 0
-                if d[1]:
-                    regs[d[1]] = value
-                    tags[d[1]] = lub[tags[rs1]][tags[rs2]]
-
-            elif op <= D.REMU:
-                value = _muldiv(op, regs[d[2]], regs[d[3]])
-                if d[1]:
-                    regs[d[1]] = value
-                    tags[d[1]] = lub[tags[d[2]]][tags[d[3]]]
-
-            elif op == D.FENCE:
-                pass
-
-            elif op == D.ECALL:
-                self.pc = next_pc
-                outcome = self.ecall_handler(self) if self.ecall_handler \
-                    else None
-                if outcome == "halt":
-                    self.halted = True
-                    csr.instret += executed
-                    csr.cycle += executed
-                    return executed, HALT
-                if outcome is None:
-                    self.pc = pc
-                    stop = self._fault(CSR.CAUSE_ECALL_M, 0)
-                    if stop:
-                        reason = stop
-                        break
-                pc = self.pc
-                continue
-
-            elif op == D.EBREAK:
-                self.pc = pc
-                self.halted = True
-                csr.instret += executed
-                csr.cycle += executed
-                return executed, EBREAK
-
-            elif op == D.MRET:
-                # --- return-address clearance: mepc is a jump target --- #
-                if branch_req is not None:
-                    epc_tag = csr.tag(CSR.MEPC)
-                    if not flow[epc_tag][branch_req]:
-                        self.pc = pc
-                        if not dift.check_execution("branch", epc_tag,
-                                                    branch_req, pc):
-                            reason = SECURITY
-                            break
-                mstatus = csr[CSR.MSTATUS]
-                mie = CSR.MSTATUS_MIE if mstatus & CSR.MSTATUS_MPIE else 0
-                csr[CSR.MSTATUS] = mie | CSR.MSTATUS_MPIE
-                self._update_irq()
-                next_pc = csr[CSR.MEPC]
-
-            elif op == D.WFI:
-                self.pc = next_pc
-                csr.instret += executed
-                csr.cycle += executed
-                if self.csr[CSR.MIP] & self.csr[CSR.MIE]:
-                    # pending but globally disabled: end the quantum so
-                    # the kernel can advance time.  _IRQWAIT (not
-                    # QUANTUM) so the JIT dispatcher knows the budget
-                    # was not exhausted; wrappers translate it back.
-                    return executed, _IRQWAIT
-                return executed, WFI
-
-            elif op <= D.CSRRCI:
-                stop = self._exec_csr(d, next_pc)
-                if stop:
-                    reason = stop
-                    break
-                pc = self.pc
-                continue
-
-            else:
                 self.pc = pc
                 stop = self._fault(CSR.CAUSE_ILLEGAL, d[4])
                 if stop:
@@ -1519,3 +1235,34 @@ def _muldiv(op: int, a: int, b: int) -> int:
         return (r if sa >= 0 else -r) & _MASK32
     # REMU
     return a if b == 0 else a % b
+
+
+def _specialize() -> None:
+    """Compile :meth:`Cpu._interp` into ``_interp_plain`` and ``_interp_dift``.
+
+    Each variant is the template's text with ``_DIFT`` replaced by a
+    literal, compiled at the template's own line numbers in a ``class
+    Cpu:`` header, so it keeps its own name, the qualified name
+    ``Cpu.<name>`` and the template's file and lines.  The template is
+    then removed: no loop with a run-time flag exists.
+    """
+    first = Cpu._interp.__code__.co_firstlineno
+    with open(__file__, encoding="utf-8") as handle:
+        lines = handle.readlines()
+    # the method ends at the first non-blank line outside its body
+    last = first
+    while last < len(lines) and (lines[last].isspace()
+                                 or lines[last].startswith(" " * 8)):
+        last += 1
+    template = "".join(lines[first - 1:last])
+    for name, flag in (("_interp_plain", "False"), ("_interp_dift", "True")):
+        text = template.replace("def _interp(", f"def {name}(", 1)
+        source = "\n" * (first - 2) + "class Cpu:\n" + text.replace(
+            "_DIFT", flag)
+        namespace: dict = {}
+        exec(compile(source, __file__, "exec"), globals(), namespace)
+        setattr(Cpu, name, vars(namespace["Cpu"])[name])
+    del Cpu._interp
+
+
+_specialize()

@@ -132,6 +132,16 @@ class TestLocDelta:
         delta = locdelta.analyze_file(source)
         assert delta.code_lines == 2
         assert delta.dift_lines == 1
+        # a docstring that closes at the end of a text line hides nothing
+        closing = tmp_path / "closing.py"
+        closing.write_text("def f():\n"
+                           '    """A docstring whose text line\n'
+                           '    closes it: taint."""\n'
+                           "    tag = 1  # a comment\n"
+                           "    return tag\n")
+        delta = locdelta.analyze_file(closing)
+        assert delta.code_lines == 3
+        assert delta.dift_lines == 2
 
 
 def _load_check_regression():

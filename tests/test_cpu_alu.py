@@ -1,34 +1,77 @@
-"""ISS ALU semantics, cross-checked against Python reference arithmetic."""
+"""ISS ALU semantics, cross-checked against Python reference arithmetic.
 
-from hypothesis import given
+The property tests draw operands from the edges of the signed, unsigned
+and 12-bit immediate ranges as well as from random words, and run every
+case on both interpreter loops: the plain VP (``BareCpu()``) and the
+DIFT VP+ (``BareCpu(policy)``), where the result must also carry the
+classified operand's tag.
+"""
+
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from tests.conftest import BareCpu
+from repro.policy import builders
+from tests.conftest import BareCpu, simple_conf_policy
 
 _WORD = st.integers(min_value=0, max_value=0xFFFFFFFF)
 _MASK = 0xFFFFFFFF
+
+#: operand values at the edges of the signed, unsigned and 12-bit ranges
+_EDGES = (0, 1, 0x7FF, 0x800, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF)
+_OPERAND = st.one_of(st.sampled_from(_EDGES), _WORD)
+_IMM = st.one_of(st.sampled_from((0, 1, 0x7FF, -0x800, -1)),
+                 st.integers(min_value=-2048, max_value=2047))
+_SHAMT = st.one_of(st.sampled_from((0, 1, 31)),
+                   st.integers(min_value=0, max_value=31))
+
+#: the plain loop (no policy) and the DIFT loop, whose runs classify a1
+_LOOPS = (None, simple_conf_policy)
+_HC = simple_conf_policy().tag_of(builders.HC)
+
+
+@st.composite
+def _operands(draw):
+    """Two register operands, equal in about half of the draws."""
+    a = draw(_OPERAND)
+    return a, draw(st.one_of(_OPERAND, st.just(a)))
+
+
+@st.composite
+def _operand_and_imm(draw):
+    """A register operand and an immediate; in about half of the draws
+    the operand equals the sign-extended immediate."""
+    imm = draw(_IMM)
+    return draw(st.one_of(_OPERAND, st.just(imm & _MASK))), imm
 
 
 def _signed(x):
     return x - (1 << 32) if x >= (1 << 31) else x
 
 
-def run_rr(op: str, a: int, b: int) -> int:
-    """Execute `op a0, a1, a2` with a1=a, a2=b; returns a0."""
-    cpu = BareCpu()
-    cpu.put_source(f"{op} a0, a1, a2")
+def _run(source: str, a: int, b: int, policy) -> int:
+    """Execute ``source`` with a1=a, a2=b; returns a0.
+
+    With a policy the DIFT loop runs it, with a1 classified: a0 must
+    come out carrying a1's tag (the LUB with a2's bottom tag)."""
+    cpu = BareCpu(policy() if policy else None)
+    cpu.put_source(source)
     cpu.regs[11] = a
     cpu.regs[12] = b
+    if policy:
+        cpu.tags[11] = _HC
     cpu.step()
+    if policy:
+        assert cpu.tags[10] == _HC, source
     return cpu.regs[10]
 
 
-def run_ri(op: str, a: int, imm: int) -> int:
-    cpu = BareCpu()
-    cpu.put_source(f"{op} a0, a1, {imm}")
-    cpu.regs[11] = a
-    cpu.step()
-    return cpu.regs[10]
+def run_rr(op: str, a: int, b: int, policy=None) -> int:
+    """Execute `op a0, a1, a2` with a1=a, a2=b; returns a0."""
+    return _run(f"{op} a0, a1, a2", a, b, policy)
+
+
+def run_ri(op: str, a: int, imm: int, policy=None) -> int:
+    return _run(f"{op} a0, a1, {imm}", a, 0, policy)
 
 
 class TestBasicOps:
@@ -100,41 +143,85 @@ class TestInstret:
 
 
 # ----------------------------------------------------------------- #
-# property tests against the reference semantics
+# property tests against the reference semantics, on both loops
 # ----------------------------------------------------------------- #
 
 
-@given(_WORD, _WORD)
-def test_add_reference(a, b):
-    assert run_rr("add", a, b) == (a + b) & _MASK
+@given(_operands())
+def test_add_reference(ab):
+    a, b = ab
+    for policy in _LOOPS:
+        assert run_rr("add", a, b, policy) == (a + b) & _MASK
 
 
-@given(_WORD, _WORD)
-def test_sub_reference(a, b):
-    assert run_rr("sub", a, b) == (a - b) & _MASK
+@given(_operands())
+def test_sub_reference(ab):
+    a, b = ab
+    for policy in _LOOPS:
+        assert run_rr("sub", a, b, policy) == (a - b) & _MASK
 
 
-@given(_WORD, _WORD)
-def test_xor_and_or_reference(a, b):
-    assert run_rr("xor", a, b) == a ^ b
-    assert run_rr("and", a, b) == a & b
-    assert run_rr("or", a, b) == a | b
+@given(_operands())
+def test_xor_and_or_reference(ab):
+    a, b = ab
+    for policy in _LOOPS:
+        assert run_rr("xor", a, b, policy) == a ^ b
+        assert run_rr("and", a, b, policy) == a & b
+        assert run_rr("or", a, b, policy) == a | b
 
 
-@given(_WORD, st.integers(min_value=0, max_value=255))
+@given(_OPERAND, st.one_of(_SHAMT, st.integers(min_value=32, max_value=255),
+                           _WORD))
 def test_shift_reference(a, b):
     sh = b & 31
-    assert run_rr("sll", a, b) == (a << sh) & _MASK
-    assert run_rr("srl", a, b) == a >> sh
-    assert run_rr("sra", a, b) == (_signed(a) >> sh) & _MASK
+    for policy in _LOOPS:
+        assert run_rr("sll", a, b, policy) == (a << sh) & _MASK
+        assert run_rr("srl", a, b, policy) == a >> sh
+        assert run_rr("sra", a, b, policy) == (_signed(a) >> sh) & _MASK
 
 
-@given(_WORD, _WORD)
-def test_slt_reference(a, b):
-    assert run_rr("slt", a, b) == int(_signed(a) < _signed(b))
-    assert run_rr("sltu", a, b) == int(a < b)
+@given(_operands())
+@example((5, 5))
+@example((0x80000000, 0x80000000))
+@example((0x7FFFFFFF, 0x80000000))
+def test_slt_reference(ab):
+    a, b = ab
+    for policy in _LOOPS:
+        assert run_rr("slt", a, b, policy) == int(_signed(a) < _signed(b))
+        assert run_rr("sltu", a, b, policy) == int(a < b)
 
 
-@given(_WORD, st.integers(min_value=-2048, max_value=2047))
-def test_addi_reference(a, imm):
-    assert run_ri("addi", a, imm) == (a + imm) & _MASK
+@given(_operand_and_imm())
+def test_addi_reference(a_imm):
+    a, imm = a_imm
+    for policy in _LOOPS:
+        assert run_ri("addi", a, imm, policy) == (a + imm) & _MASK
+
+
+@given(_operand_and_imm())
+@example((0x7FF, 0x7FF))
+@example((0xFFFFF800, -0x800))
+@example((0xFFFFFFFF, -1))
+@example((0, 0))
+def test_slti_sltiu_reference(a_imm):
+    a, imm = a_imm
+    for policy in _LOOPS:
+        assert run_ri("slti", a, imm, policy) == int(_signed(a) < imm)
+        assert run_ri("sltiu", a, imm, policy) == int(a < (imm & _MASK))
+
+
+@given(_operand_and_imm())
+def test_logic_immediate_reference(a_imm):
+    a, imm = a_imm
+    for policy in _LOOPS:
+        assert run_ri("xori", a, imm, policy) == a ^ (imm & _MASK)
+        assert run_ri("ori", a, imm, policy) == a | (imm & _MASK)
+        assert run_ri("andi", a, imm, policy) == a & (imm & _MASK)
+
+
+@given(_OPERAND, _SHAMT)
+def test_shift_immediate_reference(a, sh):
+    for policy in _LOOPS:
+        assert run_ri("slli", a, sh, policy) == (a << sh) & _MASK
+        assert run_ri("srli", a, sh, policy) == a >> sh
+        assert run_ri("srai", a, sh, policy) == (_signed(a) >> sh) & _MASK

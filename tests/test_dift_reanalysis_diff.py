@@ -44,7 +44,7 @@ from repro.dift.shadow import shadow_digest
 from repro.gen.corpus import corpus_files, load_case
 from repro.policy import SecurityPolicy, builders
 from repro.sw import immobilizer as immo_sw
-from repro.sw import wk_suite
+from repro.sw import runtime, wk_suite
 from repro.vp.config import PlatformConfig
 from repro.vp.platform import Platform
 
@@ -215,6 +215,50 @@ def test_corpus_cases(filename, tmp_path):
     platform.uart.feed(attack_input)
     result = platform.run(max_instructions=_ATTACK_CAP)
     _assert_reanalysis_matches(platform, result, path, filename)
+
+
+# --------------------------------------------------------------------- #
+# a classified base address stops a load or store before the access
+# --------------------------------------------------------------------- #
+
+_TAINTED_BASE = {
+    "load-ram": ("buf", "lw   t2, 0(t1)"),
+    "load-mmio": ("UART_STATUS", "lw   t2, 0(t1)"),
+    "store-ram": ("buf", "sw   t0, 0(t1)"),
+    "store-mmio": ("UART_TXDATA", "sb   t0, 0(t1)"),
+}
+
+
+@pytest.mark.parametrize("access", sorted(_TAINTED_BASE))
+def test_memaddr_violation_keeps_its_packet(access, tmp_path):
+    """The stopped access still records its packet (out of RAM, an MMIO
+    placeholder), so the replay stops on the same violation."""
+    base, body = _TAINTED_BASE[access]
+    program = assemble(runtime.program(f"""
+.text
+main:
+    la   t0, key
+    lw   t1, 0(t0)              # the classified base address
+    {body}
+    li   a0, 0
+    ret
+.data
+.align 4
+key: .word {base}
+buf: .word 0
+""", include_lib=False))
+    key = program.symbol("key")
+    policy = SecurityPolicy(builders.ifp1(), default_class=builders.LC)
+    policy.classify_region(key, key + 4, builders.HC)
+    policy.set_execution_clearance(mem_addr=builders.LC)
+    path = str(tmp_path / "run.ev")
+    platform = Platform.from_config(PlatformConfig(
+        policy=policy, engine_mode=RECORD, record_events=path))
+    platform.load(program)
+    result = platform.run(max_instructions=5_000)
+    assert result.reason == "security"
+    assert [v.unit for v in result.violations] == ["mem-addr"]
+    _assert_reanalysis_matches(platform, result, path, access)
 
 
 # --------------------------------------------------------------------- #

@@ -549,6 +549,115 @@ def test_barren_block_is_dropped_not_invalidated(mode, dift, dift_mode):
     assert stats.invalidated_blocks == 0
 
 
+_EDGE_IMMS = (0, 1, 2047, -2048, -1)
+_EDGE_WORDS = (0, 1, 0x7FF, 0x800, 0x7FFFFFFF, 0x80000000, 0xFFFFF800,
+               0xFFFFFFFF)
+
+_EDGE_OPERANDS = f"""
+.text
+main:
+    li   s1, 12                 # passes over the table
+pass:
+    la   s0, edges
+    la   s3, out
+    li   s2, {len(_EDGE_WORDS)}
+elem:
+    lw    t0, 0(s0)             # a: an edge value, equal to each imm once
+    lw    t1, 4(s0)             # b: the next one
+    slti  t2, t0, 0
+    sltiu t3, t0, 0
+    slti  t4, t0, 1
+    sltiu t5, t0, 1
+    slti  t6, t0, 2047
+    sltiu a1, t0, 2047
+    slti  a2, t0, -2048
+    sltiu a3, t0, -2048
+    slti  a4, t0, -1
+    sltiu a5, t0, -1
+    sw    t2, 0(s3)
+    sw    t3, 4(s3)
+    sw    t4, 8(s3)
+    sw    t5, 12(s3)
+    sw    t6, 16(s3)
+    sw    a1, 20(s3)
+    sw    a2, 24(s3)
+    sw    a3, 28(s3)
+    sw    a4, 32(s3)
+    sw    a5, 36(s3)
+    slt   t2, t0, t0
+    sltu  t3, t0, t0
+    slt   t4, t0, t1
+    sltu  t5, t0, t1
+    sltiu t6, zero, 0
+    addi  a1, t0, -1
+    xori  a2, t0, -1
+    ori   a3, t0, 2047
+    andi  a4, t0, -2048
+    srai  a5, t0, 31
+    srli  a6, t0, 31
+    slli  a7, t0, 31
+    sw    t2, 40(s3)
+    sw    t3, 44(s3)
+    sw    t4, 48(s3)
+    sw    t5, 52(s3)
+    sw    t6, 56(s3)
+    sw    a1, 60(s3)
+    sw    a2, 64(s3)
+    sw    a3, 68(s3)
+    sw    a4, 72(s3)
+    sw    a5, 76(s3)
+    sw    a6, 80(s3)
+    sw    a7, 84(s3)
+    addi  s0, s0, 4
+    addi  s3, s3, 88
+    addi  s2, s2, -1
+    bnez  s2, elem
+    addi  s1, s1, -1
+    bnez  s1, pass
+    li    a0, 0
+    ret
+.data
+.align 4
+edges:
+    .word {", ".join(hex(w) for w in _EDGE_WORDS)}, 0
+out:
+    .space {88 * len(_EDGE_WORDS)}
+"""
+
+
+def _edge_results(a: int, b: int):
+    """What ``elem`` stores for operands ``a`` and ``b``."""
+    def s(x):
+        return x - (1 << 32) if x >> 31 else x
+
+    mask = 0xFFFFFFFF
+    results = []
+    for imm in _EDGE_IMMS:
+        results += [int(s(a) < imm), int(a < (imm & mask))]
+    return results + [
+        0, 0, int(s(a) < s(b)), int(a < b), 0, (a - 1) & mask, a ^ mask,
+        a | 2047, a & (-2048 & mask), (s(a) >> 31) & mask, a >> 31,
+        (a << 31) & mask]
+
+
+@pytest.mark.parametrize("mode,dift,dift_mode", MODES, ids=_MODE_IDS)
+def test_edge_operands_in_compiled_blocks(mode, dift, dift_mode):
+    """slti/sltiu at a == sext(imm), slt/sltu at a == b and the other
+    range edges, in a loop hot enough to compile: compiled blocks and
+    the interpreter must agree with each other and with the reference."""
+    program = _shape_program(_EDGE_OPERANDS)
+    p_on = _shape_pair(program, dift, dift_mode)
+    blk = _entry_block(p_on, dift_mode, program.symbol("elem"))
+    assert blk is not None and blk.loop
+    assert p_on.jit.trace_ratio() >= 0.8
+    out = program.symbol("out")
+    words = _EDGE_WORDS + (0,)
+    for i, a in enumerate(_EDGE_WORDS):
+        stored = [p_on.cpu.read_word(out + 88 * i + 4 * k)
+                  for k in range(22)]
+        assert stored == _edge_results(a, words[i + 1]), hex(a)
+
+
 # ---------------------------------------------------------------------------
 # configuration plumbing
 # ---------------------------------------------------------------------------
