@@ -2,21 +2,22 @@
 
 The paper sweeps binaries × policies × modes by hand; this package
 industrializes that batch workload.  A declarative JSON matrix
-(:mod:`repro.campaign.matrix`) expands to jobs; three interchangeable
-execution paths run them to :class:`~repro.campaign.result.JobResult`
-records:
+(:mod:`repro.campaign.matrix`) expands to jobs, and one scheduler runs
+them to :class:`~repro.campaign.result.JobResult` records: the broker of
+:mod:`repro.campaign.service`, with crash isolation, per-job wall-clock
+timeouts and bounded retry.  Its workers attach in one of two ways:
 
-* the in-process, process-per-job pool (:mod:`repro.campaign.scheduler`)
-  with crash isolation, per-job wall-clock timeouts and bounded retry;
-* socket-attached workers pulling from a broker
-  (:mod:`repro.campaign.service`, ``repro worker --connect``), same
-  scheduling guarantees one network hop away;
-* the content-addressed result cache (:mod:`repro.campaign.cache`),
-  which replays previously simulated jobs without booting anything.
+* local worker processes over ``socket.socketpair()``: ``run_campaign``
+  (:mod:`repro.campaign.scheduler`, ``--jobs N``) forks them for a
+  broker that binds no port;
+* remote workers over TCP (``repro worker --connect``), pulling from a
+  broker that listens (``campaign run --listen``, ``repro serve``).
 
-All three produce byte-identical ``repro.campaign/1`` aggregates
-outside the quarantined ``timing`` section
-(:mod:`repro.campaign.report`).
+Before any job reaches a worker, the content-addressed result cache
+(:mod:`repro.campaign.cache`) answers those it has already seen,
+without booting anything.  Every path produces byte-identical
+``repro.campaign/1`` aggregates outside the quarantined ``timing``
+section (:mod:`repro.campaign.report`).
 
 CLI::
 
@@ -60,15 +61,13 @@ from repro.campaign.report import (
     write_outputs,
 )
 from repro.campaign.result import JOB_SCHEMA, JobResult
-from repro.campaign.scheduler import (
-    CampaignResult,
-    prepare_warm_snapshots,
-    run_campaign,
-)
+from repro.campaign.scheduler import run_campaign
 from repro.campaign.service import (
     SERVICE_SCHEMA,
     Broker,
+    CampaignResult,
     CampaignService,
+    prepare_warm_snapshots,
     run_campaign_distributed,
     run_worker,
     serve,

@@ -12,8 +12,8 @@ Three artifacts per campaign, all derived from the same
 * ``aggregate.json`` — the ``repro.campaign/1`` summary.  Everything
   outside its ``"timing"`` key is deterministic: two runs of the same
   matrix agree byte-for-byte there regardless of ``--jobs``, of whether
-  results came from the in-process pool, socket-attached workers or the
-  result cache;
+  results came from local workers, remote workers or the result
+  cache;
 * the markdown summary table (``campaign report``).
 
 Every entry point takes :class:`JobResult` records; on-disk documents

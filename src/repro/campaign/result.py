@@ -1,8 +1,8 @@
 """The campaign job result: one frozen value type for every transport.
 
 :class:`JobResult` is the single shape a finished job takes everywhere a
-result travels — the in-process scheduler pool, the broker/worker socket
-protocol, the content-addressed result cache, and the
+result travels — the broker, the worker socket protocol, the
+content-addressed result cache, and the
 ``repro.campaign.job/1`` JSONL report all carry exactly this type (as a
 Python object in memory, as its :meth:`to_json` document on the wire and
 on disk).  Before this type existed each layer passed ad-hoc dicts

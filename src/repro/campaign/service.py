@@ -1,38 +1,43 @@
-"""Campaign-as-a-service: broker, socket workers, and the HTTP facade.
+"""The campaign driver: one broker, its workers, and the HTTP facade.
 
-Three layers, each usable on its own:
+Every campaign runs through the same three layers, whatever its entry
+point (``run_campaign``, ``campaign run --listen``, ``repro serve``):
 
 * :class:`Broker` — a single-threaded ``selectors`` event loop (run on a
-  daemon thread) that owns the job queue.  Workers connect over TCP,
-  speak :mod:`repro.campaign.proto`, and *pull* jobs; the broker folds
-  each returned ``repro.campaign.job/1`` record into its batch
-  incrementally (:func:`repro.obs.merge_snapshots`) and preserves every
-  scheduling guarantee of the in-process pool: crashed jobs retry with
-  exponential backoff, timeouts never retry, and a worker that vanishes
-  mid-job (dead socket or silent heartbeat) gets its job requeued as a
-  retryable crash.  The result cache is consulted at submit time, so a
-  fully cached batch completes without a single worker.
-* :func:`run_worker` — the worker side of the protocol
-  (``repro worker --connect HOST:PORT``).  Each job runs in a child
-  process (the same ``child_main`` as the local pool) so the worker
-  itself survives crashes and can enforce the per-job wall-clock budget
-  locally, heartbeating while the simulation runs.
+  daemon thread) that owns the job queue.  Workers speak
+  :mod:`repro.campaign.proto` and *pull* jobs; the broker folds each
+  returned ``repro.campaign.job/1`` record into its batch incrementally
+  (:func:`repro.obs.merge_snapshots`) and is the one place that decides
+  retries: crashed jobs retry with exponential backoff, timeouts never
+  retry, and a worker that vanishes mid-job (dead socket, silent
+  heartbeat or exited process) gets its job requeued as a retryable
+  crash.  The result cache is consulted at submit time, so a fully
+  cached batch completes without a single worker.
+* Workers — local ones are forked by the broker's owner and attached
+  over ``socket.socketpair()``; remote ones connect over TCP
+  (``repro worker --connect HOST:PORT``, :func:`run_worker`).  Both run
+  the same loop, and each attempt runs in a child process
+  (:func:`repro.campaign.worker.child_main`) so the worker survives
+  crashes and enforces the per-job wall-clock budget locally,
+  heartbeating while the simulation runs.  A broker built without a
+  host (``run_campaign``) binds no port at all.
 * :class:`CampaignService` / :func:`serve` — a stdlib ``http.server``
   facade over one broker: ``POST /campaigns`` submits a matrix document
   and returns 202 + an id, ``GET /campaigns/<id>`` polls progress,
   ``GET /campaigns/<id>/report`` serves the final aggregate (or the
   markdown report with ``?format=markdown``).
 
-Determinism: a batch run through sockets produces the same records as
-``run_campaign`` on the same specs (worker count and transport only
-change *when* records arrive, never their content), so the
-``repro.campaign/1`` aggregate is byte-identical outside ``timing``.
+Determinism: worker count and transport only change *when* records
+arrive, never their content, so the ``repro.campaign/1`` aggregate is
+byte-identical outside ``timing`` across ``--jobs 1``, ``--jobs N``,
+remote workers and the cache.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
 import os
 import selectors
 import socket
@@ -54,13 +59,7 @@ from repro.campaign.proto import (
     recv_frame,
     send_frame,
 )
-from repro.campaign.result import JobResult
-from repro.campaign.scheduler import (
-    CampaignResult,
-    _log_tail,
-    _mp_context,
-    prepare_warm_snapshots,
-)
+from repro.campaign.result import JOB_STATUSES, JobResult
 from repro.obs.metrics import merge_snapshots
 
 SERVICE_SCHEMA = "repro.campaign.service/1"
@@ -73,6 +72,100 @@ DEFAULT_GRACE = 10.0
 #: a worker silent for this long (no result, heartbeat or request) is
 #: considered dead and its job is requeued
 DEFAULT_WORKER_TIMEOUT = 15.0
+
+_LOG_TAIL_LINES = 20
+
+
+def _mp_context():
+    # fork is markedly cheaper for a pure-Python ISS; callers fork before
+    # starting any thread.  Fall back to spawn where fork does not exist
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context(
+        "fork" if "fork" in methods else "spawn")
+
+
+def _log_tail(path: str, lines: int = _LOG_TAIL_LINES) -> List[str]:
+    try:
+        with open(path, errors="replace") as handle:
+            return handle.read().splitlines()[-lines:]
+    except OSError:
+        return []
+
+
+def _timeout_payload(spec: JobSpec, seconds: float) -> dict:
+    return {
+        "job": spec.to_dict(),
+        "status": "timeout",
+        "error": {
+            "type": "JobTimeout",
+            "message": f"exceeded the {seconds:g}s wall-clock budget "
+                       "and was terminated",
+        },
+    }
+
+
+@dataclass
+class CampaignResult:
+    """Everything one campaign produced, in job-id order."""
+
+    records: List[JobResult]
+    wall_seconds: float
+    #: how many records were served from the result cache (no simulator
+    #: boot happened for these)
+    cache_hits: int = 0
+
+    @property
+    def status_counts(self) -> Dict[str, int]:
+        counts = {status: 0 for status in JOB_STATUSES}
+        for record in self.records:
+            counts[record.status] += 1
+        return counts
+
+    @property
+    def all_ok(self) -> bool:
+        return all(r.status == "ok" for r in self.records)
+
+
+def prepare_warm_snapshots(specs: List[JobSpec], snapshot_dir: str,
+                           note: Callable[[str], None]) -> List[JobSpec]:
+    """Boot each distinct platform configuration once and snapshot it.
+
+    Jobs sharing (workload, policy, dift_mode, seed, scale) fork from
+    one instruction-zero snapshot — boot and stimulus preparation run
+    once per configuration instead of once per job.  ``jit`` is
+    deliberately *not* part of the key: the trace compiler never travels
+    in snapshots, so compiled and interpreted jobs share the same boot
+    image (the worker re-enables it at restore).  The snapshot is
+    taken before any guest instruction retires and no SystemC process
+    has started, so a restored platform is indistinguishable from a
+    freshly booted one.
+    """
+    from repro.bench.workloads import get_workload
+    from repro.dift.engine import RECORD
+    from repro.obs import Observability
+
+    paths: Dict[tuple, str] = {}
+    out = []
+    for spec in specs:
+        key = (spec.workload, spec.policy, spec.dift_mode, spec.seed,
+               spec.scale)
+        path = paths.get(key)
+        if path is None:
+            workload = get_workload(spec.workload)
+            dift = spec.policy != "none"
+            platform = workload.make_platform(
+                spec.scale, dift, obs=Observability(),
+                dift_mode=spec.dift_mode if dift else "full",
+                seed=spec.seed, engine_mode=RECORD)
+            path = os.path.join(
+                snapshot_dir,
+                f"warm.{spec.workload}.{spec.policy}.{spec.dift_mode}"
+                f".s{spec.seed}.{spec.scale}.json")
+            platform.save_snapshot(path)
+            paths[key] = path
+            note(f"warm  {os.path.basename(path)}")
+        out.append(replace(spec, snapshot=path))
+    return out
 
 
 # --------------------------------------------------------------------- #
@@ -101,6 +194,8 @@ class _Conn:
     job: Optional[_BrokerJob] = None
     deadline: float = 0.0
     last_seen: float = 0.0
+    #: the worker process behind a local (socketpair) connection
+    proc: Optional["multiprocessing.process.BaseProcess"] = None
 
 
 class Batch:
@@ -130,6 +225,7 @@ class Batch:
         self._on_record = on_record
         self._records: Dict[str, JobResult] = {}
         self._metrics: dict = {}
+        self._error: Optional[Exception] = None
         self._lock = threading.Lock()
         self._done = threading.Event()
 
@@ -149,6 +245,11 @@ class Batch:
         if finished:
             self._done.set()
 
+    def fail(self, error: Exception) -> None:
+        """End the batch unfinished: :meth:`wait` raises ``error``."""
+        self._error = error
+        self._done.set()
+
     @property
     def done(self) -> bool:
         return self._done.is_set()
@@ -157,6 +258,8 @@ class Batch:
         if not self._done.wait(timeout):
             raise TimeoutError(
                 f"batch {self.batch_id} did not finish within {timeout}s")
+        if self._error is not None:
+            raise self._error
         return self.result()
 
     def result(self) -> CampaignResult:
@@ -194,10 +297,13 @@ class Broker:
     All queue state lives on the loop thread; :meth:`submit` only does
     caller-side work (cache consult, warm-snapshot prep) and hands jobs
     over through a locked queue plus a socketpair wakeup, so any thread
-    may submit.
+    may submit.  With ``host=None`` the broker binds no listener: only
+    the local workers forked by :meth:`_spawn_local_workers` can reach
+    it, and when all of them have exited with jobs left, the unfinished
+    batches fail instead of waiting for a worker that cannot come.
     """
 
-    def __init__(self, host: str = "127.0.0.1", port: int = 0,
+    def __init__(self, host: Optional[str] = "127.0.0.1", port: int = 0,
                  name: str = "broker",
                  cache=None,
                  worker_timeout: float = DEFAULT_WORKER_TIMEOUT,
@@ -223,6 +329,7 @@ class Broker:
         self._batch_seq = 0
         self._worker_seq = 0
         self._worker_count = 0
+        self._local: List[_Conn] = []
         if data_dir is None:
             self._tmp = tempfile.TemporaryDirectory(
                 prefix="repro-broker-")
@@ -239,24 +346,31 @@ class Broker:
     @property
     def address(self) -> Tuple[str, int]:
         if self._listener is None:
-            raise RuntimeError("broker is not started")
+            raise RuntimeError("broker is not listening")
         return self._listener.getsockname()[:2]
 
     @property
     def worker_count(self) -> int:
         return self._worker_count
 
-    def start(self) -> Tuple[str, int]:
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self._host, self._port))
-        listener.listen(64)
-        listener.setblocking(False)
-        self._listener = listener
+    def start(self) -> Optional[Tuple[str, int]]:
+        """Bind the listener (when given a host) and start the loop.
+
+        Returns the bound address, or ``None`` for a local-only broker.
+        """
+        if self._host is not None:
+            listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            listener.bind((self._host, self._port))
+            listener.listen(64)
+            listener.setblocking(False)
+            self._listener = listener
         self._thread = threading.Thread(target=self._loop,
                                         name="campaign-broker",
                                         daemon=True)
         self._thread.start()
+        if self._listener is None:
+            return None
         host, port = self.address
         self._note(f"broker listening on {host}:{port}")
         return host, port
@@ -266,6 +380,14 @@ class Broker:
         self._wakeup()
         if self._thread is not None:
             self._thread.join(timeout=10.0)
+        for conn in self._local:
+            conn.sock.close()   # already closed unless the loop never ran
+            conn.proc.join(timeout=5.0)
+            if conn.proc.is_alive():
+                conn.proc.terminate()
+                conn.proc.join(timeout=2.0)
+        self._wake_r.close()
+        self._wake_w.close()
         if self._tmp is not None:
             self._tmp.cleanup()
 
@@ -278,10 +400,11 @@ class Broker:
                batch_id: Optional[str] = None) -> Batch:
         """Queue a campaign; returns a live :class:`Batch` immediately.
 
-        Mirrors :func:`run_campaign`: the cache is consulted before any
-        platform boots (hits land as records before this returns), warm
-        snapshots are prepared for the *misses* only and shipped to
-        workers as shared artifacts.  ``cache`` defaults to the broker's
+        The cache is consulted before any platform boots (hits land as
+        records before this returns), and warm snapshots are prepared
+        for the *misses* only; a listening broker ships them to workers
+        as shared artifacts.  The loop need not run yet: jobs wait in
+        the queue until it starts.  ``cache`` defaults to the broker's
         own; pass ``None`` to disable for this batch.
         """
         from repro.campaign.cache import consult
@@ -307,10 +430,12 @@ class Broker:
             snap_dir = os.path.join(self.data_dir, f"{batch_id}-snap")
             os.makedirs(snap_dir, exist_ok=True)
             misses = prepare_warm_snapshots(misses, snap_dir, self._note)
-            misses = [replace(spec,
-                              snapshot=self._register_artifact(
-                                  spec.snapshot))
-                      for spec in misses]
+            if self._host is not None:
+                # remote workers cannot read this disk: ship the files
+                misses = [replace(spec,
+                                  snapshot=self._register_artifact(
+                                      spec.snapshot))
+                          for spec in misses]
         jobs = [_BrokerJob(batch=batch, spec=spec) for spec in misses]
         if jobs:
             with self._submit_lock:
@@ -319,6 +444,29 @@ class Broker:
         self._note(f"batch {batch_id}: {len(hits)} cached, "
                    f"{len(jobs)} queued")
         return batch
+
+    def _spawn_local_workers(self, count: int) -> None:
+        """Fork ``count`` workers attached over socketpairs.
+
+        Called before :meth:`start`, so that no worker is forked while
+        the loop thread runs.  Their logs land in ``data_dir``, and
+        :meth:`stop` joins them.
+        """
+        if self._thread is not None:
+            raise RuntimeError("local workers must fork before start()")
+        ctx = _mp_context()
+        for index in range(count):
+            ours, theirs = socket.socketpair()
+            # not daemonic: each worker forks a child per job attempt
+            proc = ctx.Process(target=_local_worker,
+                               args=(theirs, ours, f"local-{index}",
+                                     self.data_dir),
+                               name=f"campaign-worker-{index}")
+            proc.start()
+            theirs.close()
+            ours.setblocking(False)
+            self._local.append(_Conn(sock=ours, addr=("local",),
+                                     proc=proc))
 
     # ----------------------------------------------------------------- #
     # loop internals (loop thread only, except _register_artifact which
@@ -351,11 +499,16 @@ class Broker:
 
     def _loop(self) -> None:
         sel = selectors.DefaultSelector()
-        sel.register(self._listener, selectors.EVENT_READ, "listener")
+        if self._listener is not None:
+            sel.register(self._listener, selectors.EVENT_READ, "listener")
         sel.register(self._wake_r, selectors.EVENT_READ, "wakeup")
         pending: deque = deque()
         delayed: List[_BrokerJob] = []
         conns: Dict[socket.socket, _Conn] = {}
+        for conn in self._local:
+            conn.last_seen = time.perf_counter()
+            conns[conn.sock] = conn
+            sel.register(conn.sock, selectors.EVENT_READ, conn)
 
         def want(conn: _Conn) -> None:
             events = selectors.EVENT_READ
@@ -527,9 +680,11 @@ class Broker:
                 delayed.remove(job)
                 pending.append(job)
             dispatch()
-            # liveness: silent workers are dead workers
+            # liveness: exited and silent workers are dead workers
             for conn in list(conns.values()):
-                if (conn.hello_done
+                if conn.proc is not None and not conn.proc.is_alive():
+                    drop(conn, f"exited with code {conn.proc.exitcode}")
+                elif (conn.hello_done
                         and now - conn.last_seen > self.worker_timeout):
                     drop(conn, "heartbeat silence "
                                f"({self.worker_timeout:g}s); "
@@ -538,18 +693,13 @@ class Broker:
                     # the worker should have enforced the budget itself;
                     # it did not report back in time, so the broker rules
                     job, conn.job = conn.job, None
-                    payload = {
-                        "job": job.spec.to_dict(),
-                        "status": "timeout",
-                        "error": {
-                            "type": "JobTimeout",
-                            "message":
-                                f"exceeded the "
-                                f"{self._effective_timeout(job):g}s "
-                                "wall-clock budget and was terminated",
-                        },
-                    }
-                    self._handle_outcome(job, payload, pending, delayed)
+                    self._handle_outcome(
+                        job, _timeout_payload(job.spec,
+                                              self._effective_timeout(job)),
+                        pending, delayed)
+            if self._listener is None and not conns and (pending
+                                                         or delayed):
+                self._abandon(pending, delayed)
 
         # drain: tell every worker the campaign service is going away
         for conn in list(conns.values()):
@@ -565,23 +715,35 @@ class Broker:
             except OSError:
                 pass
         sel.close()
-        try:
+        if self._listener is not None:
             self._listener.close()
-        except OSError:
-            pass
+
+    def _abandon(self, pending: deque, delayed: List[_BrokerJob]) -> None:
+        """Every local worker is gone and none can connect: fail the
+        unfinished batches rather than wait forever."""
+        for conn in self._local:
+            conn.proc.join(timeout=1.0)   # an EOF can beat the exit
+        codes = ", ".join(str(conn.proc.exitcode) for conn in self._local)
+        left = len(pending) + len(delayed)
+        error = RuntimeError(f"every local worker exited (exit codes "
+                             f"{codes}) with {left} jobs left")
+        self._note(str(error))
+        for batch in {job.batch for job in [*pending, *delayed]}:
+            batch.fail(error)
+        pending.clear()
+        delayed.clear()
 
     def _handle_outcome(self, job: _BrokerJob, payload: dict,
                         pending: deque, delayed: List[_BrokerJob]) -> None:
-        """Terminal-or-retry decision, mirroring the in-process pool."""
+        """The terminal-or-retry decision, for every campaign."""
         if (payload.get("status") == "crashed"
                 and job.attempt < self._effective_retries(job)):
             job.history.append(payload.get("error", {}))
             delay = job.spec.backoff * (2 ** job.attempt)
             self._note(f"retry {job.spec.job_id} in {delay:.2f}s "
                        f"(attempt {job.attempt + 1})")
-            delayed.append(replace_job(job, attempt=job.attempt + 1,
-                                       ready_at=(time.perf_counter()
-                                                 + delay)))
+            delayed.append(replace(job, attempt=job.attempt + 1,
+                                   ready_at=time.perf_counter() + delay))
             return
         record = replace(
             JobResult.from_json(payload),
@@ -595,13 +757,6 @@ class Broker:
         self._note(f"done  {record.job.job_id}: {record.status}")
 
 
-def replace_job(job: _BrokerJob, **changes) -> _BrokerJob:
-    return _BrokerJob(batch=job.batch, spec=job.spec,
-                      attempt=changes.get("attempt", job.attempt),
-                      ready_at=changes.get("ready_at", job.ready_at),
-                      history=job.history)
-
-
 # --------------------------------------------------------------------- #
 # worker
 # --------------------------------------------------------------------- #
@@ -612,7 +767,11 @@ def _connect(host: str, port: int, connect_timeout: float,
     attempt = 0
     while True:
         try:
-            return socket.create_connection((host, port), timeout=5.0)
+            sock = socket.create_connection((host, port), timeout=5.0)
+            # a worker writes ``result`` then ``request``: without this,
+            # Nagle holds the second frame until the broker's delayed ACK
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            return sock
         except OSError as exc:
             attempt += 1
             if time.monotonic() >= deadline:
@@ -662,8 +821,8 @@ def _run_one_job(spec: JobSpec, attempt: int, job_timeout: float,
                  heartbeat: float) -> dict:
     """One attempt in a child process, with local budget enforcement.
 
-    The worker's own process stays alive whatever the job does — the
-    same isolation contract as the in-process pool, just one hop away.
+    The worker's own process stays alive whatever the job does: a job
+    that raises, hard-dies or hangs only ever takes down its own child.
     Heartbeats flow to the broker while the simulation runs.
     """
     from repro.campaign.worker import child_main
@@ -699,15 +858,7 @@ def _run_one_job(spec: JobSpec, attempt: int, job_timeout: float,
             if process.is_alive():
                 process.kill()
                 process.join(timeout=2.0)
-            payload = {
-                "job": spec.to_dict(),
-                "status": "timeout",
-                "error": {
-                    "type": "JobTimeout",
-                    "message": f"exceeded the {job_timeout:g}s "
-                               "wall-clock budget and was terminated",
-                },
-            }
+            payload = _timeout_payload(spec, job_timeout)
             break
     process.join(timeout=5.0)
     if process.is_alive():
@@ -743,16 +894,28 @@ def run_worker(host: str, port: int, name: Optional[str] = None,
     scale-to-zero deployments).
     """
     note = progress or (lambda message: None)
-    name = name or f"{socket.gethostname()}-{os.getpid()}"
+    sock = _connect(host, port, connect_timeout, note)
+    return _pull_jobs(sock, name or f"{socket.gethostname()}-{os.getpid()}",
+                      heartbeat=heartbeat, once=once, note=note)
+
+
+def _pull_jobs(sock: socket.socket, name: str, heartbeat: float = 2.0,
+               once: bool = False,
+               note: Callable[[str], None] = lambda message: None,
+               log_dir: Optional[str] = None) -> dict:
+    """The worker loop over a connected socket, TCP or socketpair.
+
+    Attempt logs go to ``log_dir``, or to a private directory that is
+    removed when the worker exits.
+    """
     stats: Dict[str, int] = {}
     jobs_done = 0
-    sock = _connect(host, port, connect_timeout, note)
     buffer = FrameBuffer()
     try:
         send_frame(sock, hello(name))
         welcome = check_handshake(
             recv_frame(sock, buffer, timeout=10.0), "welcome")
-        note(f"connected to {welcome.get('name')} at {host}:{port} "
+        note(f"connected to {welcome.get('name')} "
              f"as worker #{welcome.get('id')}")
         with tempfile.TemporaryDirectory(
                 prefix="repro-worker-") as workdir:
@@ -784,10 +947,12 @@ def run_worker(host: str, port: int, name: Optional[str] = None,
                         sock, buffer, spec.snapshot.split(":", 1)[1],
                         artifact_dir, heartbeat)
                     spec = replace(spec, snapshot=local)
+                # job ids may embed path separators (dynamic gen/...
+                # workloads): flatten them so every log lands in one dir
                 safe_id = (spec.job_id.replace(os.sep, "_")
                            .replace("/", "_"))
                 log_path = os.path.join(
-                    workdir, f"{safe_id}.a{attempt}.log")
+                    log_dir or workdir, f"{safe_id}.a{attempt}.log")
                 note(f"run   {spec.job_id} (attempt {attempt})")
                 payload = _run_one_job(spec, attempt, job_timeout,
                                        log_path, sock, heartbeat)
@@ -808,13 +973,35 @@ def run_worker(host: str, port: int, name: Optional[str] = None,
     return {"jobs": jobs_done, "by_status": dict(sorted(stats.items()))}
 
 
-def _worker_proc(host: str, port: int, index: int) -> None:
-    # a Ctrl-C on the parent CLI lands on the whole process group; the
-    # worker's lifetime is governed by the broker's shutdown frame (or
-    # its socket closing), so the signal itself is noise here
-    import signal
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    run_worker(host, port, name=f"local-{index}")
+def _local_worker(sock: socket.socket, broker_end: socket.socket,
+                  name: str, log_dir: str) -> None:
+    # the fork copied the broker's end of the pair; holding it would keep
+    # this worker from ever seeing EOF should the broker die
+    broker_end.close()
+    try:
+        _pull_jobs(sock, name, log_dir=log_dir)
+    except KeyboardInterrupt:
+        # a Ctrl-C at the terminal reaches the whole process group and the
+        # parent handles it; leaving quietly also terminates the attempt's
+        # daemonic child
+        pass
+
+
+def _run_batch(broker: Broker, specs: List[JobSpec], workers: int,
+               wait_timeout: Optional[float] = None,
+               **submit) -> CampaignResult:
+    """Submit one batch, fork up to ``workers`` local workers for what
+    the cache did not answer, run the loop until the batch is done, and
+    tear everything down."""
+    try:
+        batch = broker.submit(specs, **submit)
+        if not batch.done:
+            broker._spawn_local_workers(
+                min(workers, len(batch.specs) - batch.cache_hits))
+            broker.start()
+        return batch.wait(timeout=wait_timeout)
+    finally:
+        broker.stop()
 
 
 def run_campaign_distributed(
@@ -830,34 +1017,17 @@ def run_campaign_distributed(
         wait_timeout: Optional[float] = None) -> CampaignResult:
     """One campaign over the socket path, broker lifecycle included.
 
-    Starts a broker on ``host:port``, optionally spawns ``workers``
-    local worker processes, waits for the batch, and tears everything
-    down.  With ``workers=0`` the call blocks until *external* workers
+    Starts a broker on ``host:port``, optionally forks ``workers`` local
+    worker processes, waits for the batch, and tears everything down.
+    With ``workers=0`` the call blocks until *external* workers
     (``repro worker --connect``) drain the queue — that is the
-    ``campaign run --listen`` mode.
+    ``campaign run --listen`` mode.  A batch the cache answers in full
+    returns without binding or forking anything.
     """
     broker = Broker(host=host, port=port, cache=cache, progress=progress)
-    bound_host, bound_port = broker.start()
-    procs = []
-    try:
-        batch = broker.submit(specs, timeout=timeout, retries=retries,
-                              warm_start=warm_start, on_record=on_record)
-        ctx = _mp_context()
-        for index in range(workers):
-            # not daemonic: each worker forks a child per job attempt
-            proc = ctx.Process(target=_worker_proc,
-                               args=(bound_host, bound_port, index),
-                               name=f"campaign-worker-{index}")
-            proc.start()
-            procs.append(proc)
-        return batch.wait(timeout=wait_timeout)
-    finally:
-        broker.stop()
-        for proc in procs:
-            proc.join(timeout=5.0)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=2.0)
+    return _run_batch(broker, specs, workers, wait_timeout=wait_timeout,
+                      timeout=timeout, retries=retries,
+                      warm_start=warm_start, on_record=on_record)
 
 
 # --------------------------------------------------------------------- #
@@ -990,29 +1160,21 @@ def serve(host: str = "127.0.0.1", port: int = 8437,
           ready: Optional[Callable[[dict], None]] = None) -> None:
     """Run the campaign service until interrupted.
 
-    Starts the broker (workers connect to ``worker_host:worker_port``),
-    optionally spawns ``local_workers`` worker processes against it, and
-    serves the HTTP API on ``host:port``.  ``ready`` (if given) receives
-    the bound addresses once everything is listening — tests use it,
-    humans read the progress lines.
+    Forks ``local_workers`` worker processes, starts the broker (remote
+    workers connect to ``worker_host:worker_port``), and serves the HTTP
+    API on ``host:port``.  ``ready`` (if given) receives the bound
+    addresses once everything is listening — tests use it, humans read
+    the progress lines.
     """
     from http.server import ThreadingHTTPServer
 
     note = progress or (lambda message: None)
     broker = Broker(host=worker_host, port=worker_port, cache=cache,
                     data_dir=data_dir, progress=note)
-    bound_host, bound_port = broker.start()
     service = CampaignService(broker)
     server = ThreadingHTTPServer((host, port), _make_handler(service))
-    procs = []
-    ctx = _mp_context()
-    for index in range(local_workers):
-        # not daemonic: each worker forks a child per job attempt
-        proc = ctx.Process(target=_worker_proc,
-                           args=(bound_host, bound_port, index),
-                           name=f"service-worker-{index}")
-        proc.start()
-        procs.append(proc)
+    broker._spawn_local_workers(local_workers)
+    bound_host, bound_port = broker.start()
     addresses = {"http": server.server_address[:2],
                  "broker": (bound_host, bound_port),
                  # embedders (tests) stop the service through this; the
@@ -1031,8 +1193,3 @@ def serve(host: str = "127.0.0.1", port: int = 8437,
         server.shutdown()
         server.server_close()
         broker.stop()
-        for proc in procs:
-            proc.join(timeout=5.0)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=2.0)

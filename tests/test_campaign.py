@@ -1,5 +1,6 @@
 """Tests for the campaign runner: matrix expansion, the process-per-job
-scheduler (crash isolation, timeouts, retry), and report determinism."""
+scheduler (crash isolation, timeouts, retry) through both entry points,
+and report determinism."""
 
 import json
 
@@ -16,6 +17,7 @@ from repro.campaign import (
     parse_matrix,
     render_markdown,
     run_campaign,
+    run_campaign_distributed,
     write_outputs,
 )
 from repro.campaign.report import JSONL_NAME, load_jsonl
@@ -129,7 +131,73 @@ class TestMatrix:
         assert len(jobs) == 2 * len(workload_names())   # full + demand
 
 
-class TestScheduler:
+class _InjectionCases:
+    """Crash, hard death, hang and retry, whichever way the campaign is
+    driven: each subclass supplies ``campaign(specs, jobs, tmp_path)``."""
+
+    def test_crash_is_contained_and_reported(self, tmp_path):
+        specs = [make_spec("boom", inject="crash", retries=1, backoff=0.01),
+                 make_spec("fine")]
+        result = self.campaign(specs, 2, tmp_path)
+        by_id = {r.job.job_id: r for r in result.records}
+        crashed = by_id["boom"]
+        assert crashed.status == "crashed"
+        assert crashed.error["type"] == "InjectedFailure"
+        assert any("InjectedFailure" in line
+                   for line in crashed.error["traceback_tail"])
+        assert crashed.attempts == 2             # initial + 1 retry
+        assert len(crashed.retried_errors) == 1
+        assert crashed.log_tail                  # traceback landed in the log
+        # the neighbour is unaffected and the campaign itself never raises
+        assert by_id["fine"].status == "ok"
+
+    def test_hard_death_is_contained(self, tmp_path):
+        specs = [make_spec("dead", inject="die", retries=0),
+                 make_spec("fine")]
+        result = self.campaign(specs, 2, tmp_path)
+        by_id = {r.job.job_id: r for r in result.records}
+        dead = by_id["dead"]
+        assert dead.status == "crashed"
+        assert dead.error["type"] == "WorkerDied"
+        assert dead.error["exitcode"] == DIE_EXIT_CODE
+        assert any("injected hard death" in line
+                   for line in dead.log_tail)
+        assert by_id["fine"].status == "ok"
+
+    def test_hang_hits_timeout_without_retry(self, tmp_path):
+        specs = [make_spec("stuck", inject="hang", timeout=1.0, retries=3),
+                 make_spec("fine")]
+        result = self.campaign(specs, 2, tmp_path)
+        by_id = {r.job.job_id: r for r in result.records}
+        stuck = by_id["stuck"]
+        assert stuck.status == "timeout"
+        assert stuck.error["type"] == "JobTimeout"
+        assert stuck.attempts == 1               # hangs are never retried
+        assert by_id["fine"].status == "ok"
+
+    def test_flaky_job_retries_then_succeeds(self, tmp_path):
+        specs = [make_spec("flaky", inject="flaky:2", retries=2,
+                           backoff=0.01)]
+        result = self.campaign(specs, 1, tmp_path)
+        record = result.records[0]
+        assert record.status == "ok"
+        assert record.attempts == 3              # 2 injected failures + 1
+        assert len(record.retried_errors) == 2
+        assert all(e["type"] == "InjectedFailure"
+                   for e in record.retried_errors)
+
+    def test_retries_exhausted_stays_crashed(self, tmp_path):
+        specs = [make_spec("flaky", inject="flaky:5", retries=1,
+                           backoff=0.01)]
+        result = self.campaign(specs, 1, tmp_path)
+        assert result.records[0].status == "crashed"
+        assert result.records[0].attempts == 2
+
+
+class TestScheduler(_InjectionCases):
+    def campaign(self, specs, jobs, tmp_path):
+        return run_campaign(specs, jobs=jobs, log_dir=str(tmp_path))
+
     def test_small_campaign_all_ok(self, tmp_path):
         specs = [make_spec("primes.default.full.s0"),
                  make_spec("qsort.default.full.s0", workload="qsort")]
@@ -146,64 +214,6 @@ class TestScheduler:
         # per-attempt worker logs land in log_dir
         assert (tmp_path / "primes.default.full.s0.a0.log").exists()
 
-    def test_crash_is_contained_and_reported(self, tmp_path):
-        specs = [make_spec("boom", inject="crash", retries=1, backoff=0.01),
-                 make_spec("fine")]
-        result = run_campaign(specs, jobs=2, log_dir=str(tmp_path))
-        by_id = {r.job.job_id: r for r in result.records}
-        crashed = by_id["boom"]
-        assert crashed.status == "crashed"
-        assert crashed.error["type"] == "InjectedFailure"
-        assert any("InjectedFailure" in line
-                   for line in crashed.error["traceback_tail"])
-        assert crashed.attempts == 2             # initial + 1 retry
-        assert len(crashed.retried_errors) == 1
-        assert crashed.log_tail                  # traceback landed in the log
-        # the neighbour is unaffected and the campaign itself never raises
-        assert by_id["fine"].status == "ok"
-
-    def test_hard_death_is_contained(self, tmp_path):
-        specs = [make_spec("dead", inject="die", retries=0),
-                 make_spec("fine")]
-        result = run_campaign(specs, jobs=2, log_dir=str(tmp_path))
-        by_id = {r.job.job_id: r for r in result.records}
-        dead = by_id["dead"]
-        assert dead.status == "crashed"
-        assert dead.error["type"] == "WorkerDied"
-        assert dead.error["exitcode"] == DIE_EXIT_CODE
-        assert any("injected hard death" in line
-                   for line in dead.log_tail)
-        assert by_id["fine"].status == "ok"
-
-    def test_hang_hits_timeout_without_retry(self, tmp_path):
-        specs = [make_spec("stuck", inject="hang", timeout=1.0, retries=3),
-                 make_spec("fine")]
-        result = run_campaign(specs, jobs=2, log_dir=str(tmp_path))
-        by_id = {r.job.job_id: r for r in result.records}
-        stuck = by_id["stuck"]
-        assert stuck.status == "timeout"
-        assert stuck.error["type"] == "JobTimeout"
-        assert stuck.attempts == 1               # hangs are never retried
-        assert by_id["fine"].status == "ok"
-
-    def test_flaky_job_retries_then_succeeds(self, tmp_path):
-        specs = [make_spec("flaky", inject="flaky:2", retries=2,
-                           backoff=0.01)]
-        result = run_campaign(specs, jobs=1, log_dir=str(tmp_path))
-        record = result.records[0]
-        assert record.status == "ok"
-        assert record.attempts == 3              # 2 injected failures + 1
-        assert len(record.retried_errors) == 2
-        assert all(e["type"] == "InjectedFailure"
-                   for e in record.retried_errors)
-
-    def test_retries_exhausted_stays_crashed(self, tmp_path):
-        specs = [make_spec("flaky", inject="flaky:5", retries=1,
-                           backoff=0.01)]
-        result = run_campaign(specs, jobs=1, log_dir=str(tmp_path))
-        assert result.records[0].status == "crashed"
-        assert result.records[0].attempts == 2
-
     def test_rejects_duplicate_ids_and_bad_pool(self):
         spec = make_spec("a")
         with pytest.raises(ValueError, match="duplicate"):
@@ -212,6 +222,14 @@ class TestScheduler:
             run_campaign([spec], jobs=0)
         with pytest.raises(ValueError, match="no jobs"):
             run_campaign([], jobs=1)
+
+
+class TestSchedulerDistributed(_InjectionCases):
+    """The same cases through a listening broker and two local workers."""
+
+    def campaign(self, specs, jobs, tmp_path):
+        return run_campaign_distributed(specs, workers=2,
+                                        wait_timeout=300.0)
 
 
 def _strip_host_timing(record):

@@ -1,8 +1,11 @@
 """Tests for campaign-as-a-service: the broker/worker socket path, its
-determinism contract against the in-process pool, dead-worker requeue,
-the HTTP facade, and campaign resume after a hard kill."""
+determinism contract across local and distributed runs, dead-worker
+requeue, the local broker's guarantees (no port, fork ordering, no hang
+once its workers are gone), the HTTP facade, and campaign resume after a
+hard kill."""
 
 import json
+import multiprocessing
 import os
 import signal
 import socket
@@ -30,7 +33,7 @@ from repro.campaign.proto import (
     recv_frame,
     send_frame,
 )
-from repro.campaign.service import Broker
+from repro.campaign.service import Broker, _connect
 
 
 def spec(job_id="primes.default.full.s0", **kwargs):
@@ -86,6 +89,27 @@ class TestBrokerCache:
         assert result.cache_hits == len(specs)
         assert all(r.cached for r in result.records)
 
+    def test_fully_cached_distributed_run_starts_no_worker(
+            self, tmp_path, monkeypatch):
+        cache = ResultCache(str(tmp_path / "cache"))
+        specs = small_specs()
+        run_campaign(specs, jobs=2, cache=cache)    # populate
+        started = []
+        real_start = multiprocessing.process.BaseProcess.start
+
+        def start(process):
+            started.append(process.name)
+            real_start(process)
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                            start)
+        began = time.monotonic()
+        result = run_campaign_distributed(specs, workers=2, cache=cache,
+                                          wait_timeout=30.0)
+        assert time.monotonic() - began < 3.0
+        assert started == []
+        assert result.cache_hits == len(specs)
+
     def test_distributed_run_populates_the_shared_cache(self, tmp_path):
         cache = ResultCache(str(tmp_path / "cache"))
         specs = small_specs()[:1]
@@ -95,6 +119,113 @@ class TestBrokerCache:
         assert len(cache) == 1
         local = run_campaign(specs, jobs=1, cache=cache)
         assert local.cache_hits == 1
+
+
+class TestLocalBroker:
+    """``run_campaign`` drives the broker with socketpair workers only."""
+
+    def test_local_run_binds_no_port(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise OSError("a local campaign must not bind or listen")
+
+        monkeypatch.setattr(socket.socket, "bind", refuse)
+        monkeypatch.setattr(socket.socket, "listen", refuse)
+        result = run_campaign(small_specs(), jobs=2)
+        assert result.all_ok
+
+    def test_killing_every_local_worker_raises(self):
+        killed = []
+
+        def kill_workers(message):
+            # runs on the broker thread as the first job is handed out
+            if message.startswith("assign") and not killed:
+                for proc in multiprocessing.active_children():
+                    if proc.name.startswith("campaign-worker-"):
+                        os.kill(proc.pid, signal.SIGKILL)
+                        killed.append(proc.pid)
+
+        def hung(signum, frame):
+            raise AssertionError("run_campaign waited on dead workers")
+
+        specs = [spec(f"primes.{index}", max_instructions=200_000,
+                      retries=1, backoff=0.01) for index in range(4)]
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        started = time.monotonic()
+        try:
+            with pytest.raises(RuntimeError,
+                               match="every local worker exited") as error:
+                run_campaign(specs, jobs=2, progress=kill_workers)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - started < 15.0
+        assert len(killed) == 2
+        assert f"-{signal.SIGKILL:d}" in str(error.value)
+
+
+class TestForkOrdering:
+    """No local worker forks while a broker thread runs: a fork copies
+    only the forking thread, and CPython 3.12+ warns about it."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        seen = []
+        real_fork = os.fork
+
+        def fork():
+            seen.append([thread.name for thread in threading.enumerate()
+                         if thread.name == "campaign-broker"])
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        return seen
+
+    def test_run_campaign(self, forks):
+        assert run_campaign(small_specs(), jobs=2).all_ok
+        assert forks and not any(forks)
+
+    def test_run_campaign_distributed(self, forks):
+        result = run_campaign_distributed(small_specs(), workers=2,
+                                          wait_timeout=300.0)
+        assert result.all_ok
+        assert forks and not any(forks)
+
+    def test_serve(self, forks):
+        ready = threading.Event()
+        addresses = {}
+
+        def on_ready(info):
+            addresses.update(info)
+            ready.set()
+
+        thread = threading.Thread(
+            target=serve,
+            kwargs={"port": 0, "local_workers": 1, "ready": on_ready},
+            daemon=True)
+        thread.start()
+        assert ready.wait(timeout=60.0)
+        addresses["shutdown"]()
+        thread.join(timeout=30.0)
+        assert not thread.is_alive()
+        assert forks and not any(forks)
+
+
+class TestWorkerSocket:
+    def test_connect_sets_tcp_nodelay(self):
+        # a worker writes two small frames per job (result, request);
+        # Nagle would hold the second one for a delayed ACK
+        listener = socket.create_server(("127.0.0.1", 0))
+        try:
+            host, port = listener.getsockname()[:2]
+            sock = _connect(host, port, 5.0, lambda message: None)
+            try:
+                assert sock.getsockopt(socket.IPPROTO_TCP,
+                                       socket.TCP_NODELAY)
+            finally:
+                sock.close()
+        finally:
+            listener.close()
 
 
 class TestDeadWorkerRequeue:
