@@ -12,6 +12,7 @@ import pytest
 
 from repro.policy import SecurityPolicy, builders
 from repro.sw import primes
+from repro.vp.config import PlatformConfig
 from repro.vp.platform import Platform
 
 
@@ -39,7 +40,7 @@ def test_lattice_size_cost(benchmark, variant):
     program = primes.build(limit=2500)
 
     def run():
-        platform = Platform(policy=_policy_for(variant))
+        platform = Platform(PlatformConfig(policy=_policy_for(variant)))
         platform.load(program)
         result = platform.run()
         assert result.exit_code == 0

@@ -74,16 +74,6 @@ def test_taint_byte_round_trip(benchmark, engine):
     assert result.value == 0xDEADBEEF
 
 
-def test_shadow_lub_range(benchmark, engine):
-    from repro.dift.shadow import ShadowTags
-
-    benchmark.group = "primitives"
-    shadow = ShadowTags(4096)
-    shadow.set(1000, 2)
-    result = benchmark(shadow.lub_range, 0, 4096, engine.lub, 0)
-    assert result == 2
-
-
 def test_iss_throughput_plain(benchmark):
     """Raw ISS speed (the VP column's MIPS at microbenchmark scale)."""
     from repro.sw import primes
@@ -105,13 +95,14 @@ def test_iss_throughput_dift(benchmark):
     """DIFT ISS speed (the VP+ column's MIPS at microbenchmark scale)."""
     from repro.bench.workloads import benchmark_policy
     from repro.sw import primes
+    from repro.vp.config import PlatformConfig
     from repro.vp.platform import Platform
 
     benchmark.group = "iss-throughput"
     program = primes.build(limit=1500)
 
     def run():
-        platform = Platform(policy=benchmark_policy())
+        platform = Platform(PlatformConfig(policy=benchmark_policy()))
         platform.load(program)
         return platform.run()
 

@@ -29,7 +29,7 @@ Quick start::
 """
 
 from repro.asm import Assembler, Program, assemble, disassemble
-from repro.dift import DiftEngine, ShadowTags, Taint, ViolationRecord
+from repro.dift import DiftEngine, Taint, ViolationRecord
 from repro.errors import (
     ClearanceException,
     DeclassificationError,
@@ -53,7 +53,6 @@ __all__ = [
     "builders",
     "DiftEngine",
     "Taint",
-    "ShadowTags",
     "ViolationRecord",
     "Observability",
     "MetricsRegistry",

@@ -1,7 +1,7 @@
-"""Dynamic Information Flow Tracking core: Taint type, engine, shadow tags."""
+"""Dynamic Information Flow Tracking core: Taint type and engine."""
 
-from repro.dift.engine import RAISE, RECORD, DiftEngine, ViolationRecord
-from repro.dift.shadow import MAX_TAG, ShadowTags
+from repro.dift.engine import (MAX_TAG, RAISE, RECORD, DiftEngine,
+                               ViolationRecord)
 from repro.dift.taint import Taint
 
 __all__ = [
@@ -10,6 +10,5 @@ __all__ = [
     "RAISE",
     "RECORD",
     "Taint",
-    "ShadowTags",
     "MAX_TAG",
 ]

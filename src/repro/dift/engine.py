@@ -31,6 +31,10 @@ from repro.policy.policy import SecurityPolicy
 RAISE = "raise"
 RECORD = "record"
 
+#: Tags are stored one per byte (the paper's ``typedef uint8_t Tag``), so
+#: a lattice may have at most ``MAX_TAG + 1`` = 256 classes.
+MAX_TAG = 255
+
 
 @dataclass(frozen=True)
 class ViolationRecord:
@@ -61,11 +65,19 @@ class DiftEngine:
         The security policy to enforce.
     mode:
         ``"raise"`` (default) or ``"record"``; see module docstring.
+
+    Raises ``ValueError`` if the policy's lattice has more classes than a
+    byte tag can name.
     """
 
     def __init__(self, policy: SecurityPolicy, mode: str = RAISE):
         if mode not in (RAISE, RECORD):
             raise ValueError(f"unknown engine mode {mode!r}")
+        n_classes = len(policy.lattice)
+        if n_classes > MAX_TAG + 1:
+            raise ValueError(
+                f"lattice has {n_classes} security classes; a byte tag "
+                f"holds at most {MAX_TAG + 1}")
         self.policy = policy
         self.mode = mode
         self.lattice = policy.lattice
@@ -153,9 +165,11 @@ class DiftEngine:
         A uniform source tag (the common DMA/TLM payload) turns a
         per-byte LUB fold over a destination span into one C-speed
         ``bytes.translate`` — this is the table that makes it possible.
-        Entries outside the lattice map to themselves (they cannot occur
-        in a validated store).  Memoized per tag; the memo is derived
-        state and never serialized.
+        Entries past the lattice's last class map to themselves: no
+        shadow holds them, since every stored tag is a class index and
+        the constructor bounds the class count by ``MAX_TAG + 1``.
+        Memoized per tag; the memo is derived state and never
+        serialized.
         """
         table = self._lub_translation_memo.get(value)
         if table is None:

@@ -24,7 +24,6 @@ exit code ``a0`` (other ecalls trap to ``mtvec`` if installed).
 from __future__ import annotations
 
 import time as _time
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -122,24 +121,14 @@ def _default_ecall(cpu: Cpu) -> Optional[str]:
 class Platform:
     """A complete VP (plain) or VP+ (DIFT) instance.
 
-    Construct with a :class:`~repro.vp.config.PlatformConfig` (either
-    positionally or via :meth:`from_config`); the historical keyword
-    form ``Platform(policy=..., quantum=...)`` still works but emits a
-    :class:`DeprecationWarning`.
+    Construct with a :class:`~repro.vp.config.PlatformConfig`, either
+    positionally or via :meth:`from_config`; ``Platform()`` is a plain
+    VP with the default configuration.
     """
 
-    def __init__(self, config: Optional[PlatformConfig] = None, **kwargs):
-        if config is not None and kwargs:
-            raise TypeError(
-                "pass either a PlatformConfig or keyword arguments, "
-                "not both")
+    def __init__(self, config: Optional[PlatformConfig] = None):
         if config is None:
-            if kwargs:
-                warnings.warn(
-                    "Platform(**kwargs) is deprecated; build a "
-                    "PlatformConfig and call Platform.from_config(cfg)",
-                    DeprecationWarning, stacklevel=2)
-            config = PlatformConfig(**kwargs)
+            config = PlatformConfig()
         self.config = config
         policy = config.policy
         obs = config.obs
@@ -378,10 +367,8 @@ class Platform:
                                      lambda: live.reclaim_skipped_pages)
                 metrics.set_gauge_fn("shadow.tainted_pages",
                                      self._tainted_pages)
-                # level-1 summary cardinality over the flat RAM shadow:
                 # pages the liveness layer currently tracks as
-                # maybe-tainted (the live analogue of ShadowTags'
-                # materialized-page count)
+                # maybe-tainted in the flat RAM shadow
                 metrics.set_gauge_fn("shadow.materialized_pages",
                                      lambda: len(live.dirty_pages))
 

@@ -20,7 +20,7 @@ from repro.bench.table1 import code_injection_policy
 from repro.bench.workloads import TABLE2_ORDER, WORKLOADS
 from repro.casestudy import immobilizer as cs
 from repro.dift.engine import RECORD
-from repro.dift.liveness import TaintLiveness
+from repro.dift.liveness import PAGE_SIZE, TaintLiveness
 from repro.sw import immobilizer as immo_sw
 from repro.sw import wk_suite
 from repro.vp.config import PlatformConfig
@@ -193,7 +193,7 @@ class _FakeCpu:
     def __init__(self, bottom=0, ram_pages=4):
         self.tags = [bottom] * 32
         self.csr = _FakeCsr()
-        self.ram_tags = bytearray([bottom]) * (4096 * ram_pages)
+        self.ram_tags = bytearray([bottom]) * (PAGE_SIZE * ram_pages)
 
 
 class TestTaintLiveness:
@@ -269,3 +269,79 @@ class TestTaintLiveness:
         assert not live.clean
         assert not live.try_reclaim(cpu)
         assert not live.maybe_reclaim(cpu)
+
+
+class TestReclaimPruning:
+    def test_clean_prefix_pruned_scan_stops_at_taint(self):
+        cpu = _FakeCpu()
+        live = TaintLiveness(0)
+        live.note_memory_taint(0, 4 * PAGE_SIZE)  # pages 0..3 dirty
+        cpu.ram_tags[3 * PAGE_SIZE + 10] = 2      # only page 3 tainted
+        assert not live.try_reclaim(cpu)
+        # pages 0..2 verified clean and pruned; page 3 stopped the scan
+        assert live.dirty_pages == {3}
+        assert live.pages_scanned == 4
+
+    def test_skipped_pages_counts_pruning_win(self):
+        cpu = _FakeCpu()
+        live = TaintLiveness(0)
+        live.note_memory_taint(0, 4 * PAGE_SIZE)
+        cpu.ram_tags[3 * PAGE_SIZE] = 2
+        live.try_reclaim(cpu)
+        assert live.reclaim_skipped_pages == 0  # first scan skips nothing
+        live.try_reclaim(cpu)
+        # a flat reclaim would have rescanned all 4 dirtied pages; the
+        # pruned set holds 1, so 3 rescans were avoided
+        assert live.reclaim_skipped_pages == 3
+        assert live.pages_scanned == 5
+
+    def test_successful_reclaim_resets_high_water(self):
+        cpu = _FakeCpu()
+        live = TaintLiveness(0)
+        live.note_memory_taint(0, 4 * PAGE_SIZE)
+        cpu.ram_tags[PAGE_SIZE] = 2
+        assert not live.try_reclaim(cpu)
+        cpu.ram_tags[PAGE_SIZE] = 0
+        assert live.try_reclaim(cpu)
+        assert live.clean and not live.dirty_pages
+        # a fresh taint epoch starts from a zero baseline
+        live.note_memory_taint(0, PAGE_SIZE)
+        assert live.try_reclaim(cpu)
+        assert live.reclaim_skipped_pages == 1  # only the earlier epoch's
+
+    def test_retaint_readds_pruned_page(self):
+        cpu = _FakeCpu()
+        live = TaintLiveness(0)
+        live.note_memory_taint(0, 2 * PAGE_SIZE)
+        cpu.ram_tags[PAGE_SIZE] = 2
+        live.try_reclaim(cpu)
+        assert live.dirty_pages == {1}
+        # the pruned page 0 is re-tainted: the listener must re-add it
+        cpu.ram_tags[5] = 2
+        live.note_memory_taint(5, 1)
+        assert not live.try_reclaim(cpu)
+        assert 0 in live.dirty_pages
+
+    def test_pages_past_ram_size_dropped_without_scan(self):
+        cpu = _FakeCpu(ram_pages=2)
+        live = TaintLiveness(0)
+        live.note_memory_taint(0, 1)
+        live.dirty_pages.add(100)  # stale page from a larger config
+        live._dirty_high_water = 2
+        assert live.try_reclaim(cpu)
+        assert live.pages_scanned == 1  # page 100 dropped, never counted
+
+    def test_counters_round_trip(self):
+        cpu = _FakeCpu()
+        live = TaintLiveness(0)
+        live.note_memory_taint(0, 4 * PAGE_SIZE)
+        cpu.ram_tags[2 * PAGE_SIZE] = 2
+        live.try_reclaim(cpu)
+        live.try_reclaim(cpu)
+        state = live.state_dict()
+        other = TaintLiveness(0)
+        other.load_state_dict(state)
+        assert other.pages_scanned == live.pages_scanned
+        assert other.reclaim_skipped_pages == live.reclaim_skipped_pages
+        assert other._dirty_high_water == live._dirty_high_water
+        assert other.state_dict() == state

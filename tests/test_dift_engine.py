@@ -2,13 +2,16 @@
 
 import pytest
 
+from repro.dift import MAX_TAG
 from repro.dift.engine import RAISE, RECORD, DiftEngine
 from repro.errors import (
     ClearanceException,
     DeclassificationError,
     ExecutionClearanceError,
 )
-from repro.policy import SecurityPolicy, builders
+from repro.policy import Lattice, SecurityPolicy, builders
+from repro.vp.config import PlatformConfig
+from repro.vp.platform import Platform
 
 
 def make_engine(mode=RAISE) -> DiftEngine:
@@ -32,6 +35,37 @@ class TestConstruction:
         engine = make_engine()
         assert engine.bottom_tag == engine.lattice.tag_of(builders.LC)
         assert engine.default_tag == engine.bottom_tag
+
+
+def _diamond(n_middles: int) -> Lattice:
+    """BOT below ``n_middles`` incomparable classes below TOP."""
+    middles = [f"M{i}" for i in range(n_middles)]
+    return Lattice(["BOT", *middles, "TOP"],
+                   [("BOT", m) for m in middles]
+                   + [(m, "TOP") for m in middles])
+
+
+class TestTagWidth:
+    """A tag is one byte, so a lattice may have at most 256 classes."""
+
+    def test_widest_lattice_accepted(self):
+        lattice = _diamond(MAX_TAG - 1)
+        assert len(lattice) == MAX_TAG + 1
+        engine = DiftEngine(SecurityPolicy(lattice))
+        assert engine.lattice.tag_of("TOP") == MAX_TAG
+
+    def test_wider_lattice_rejected(self):
+        lattice = _diamond(MAX_TAG)
+        match = "lattice has 257 security classes; a byte tag holds at most 256"
+        with pytest.raises(ValueError, match=match):
+            DiftEngine(SecurityPolicy(lattice))
+        # the platform builds its engine before any tag store, so the
+        # bound is reported instead of a bytearray range error
+        for default in ("BOT", "TOP"):
+            config = PlatformConfig(
+                policy=SecurityPolicy(lattice, default_class=default))
+            with pytest.raises(ValueError, match=match):
+                Platform(config)
 
 
 class TestPropagation:

@@ -9,7 +9,7 @@ import pytest
 from repro import state
 from repro.bench.workloads import benchmark_policy, get_workload
 from repro.dift.engine import RECORD
-from repro.dift.shadow import PAGE_SIZE, ShadowTags
+from repro.dift.shadow import PAGE_SIZE
 from repro.obs import Observability
 from repro.state import SnapshotError
 from repro.sysc.time import SimTime
@@ -156,49 +156,14 @@ class TestPlatformConfig:
         with pytest.raises(Exception):
             PlatformConfig().seed = 1   # type: ignore[misc]
 
-    def test_platform_kwargs_shim_warns(self):
-        with pytest.warns(DeprecationWarning, match="PlatformConfig"):
-            platform = Platform(policy=None, quantum=2048)
-        assert platform.config.quantum == 2048
+    def test_platform_rejects_keyword_arguments(self):
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            Platform(policy=None, quantum=2048)
 
     def test_from_config_does_not_warn(self, recwarn):
         Platform.from_config(PlatformConfig())
         assert not [w for w in recwarn.list
                     if issubclass(w.category, DeprecationWarning)]
-
-
-class TestShadowSparseDump:
-    def test_sparse_matches_dense(self):
-        tags = ShadowTags(3 * PAGE_SIZE)
-        tags.set(10, 3)
-        tags.set(2 * PAGE_SIZE + 5, 1)
-        dense = tags.dump()
-        sparse = tags.dump(sparse=True)
-        assert sorted(sparse) == [0, 2]
-        for index, data in sparse.items():
-            assert bytes(dense[index * PAGE_SIZE:(index + 1) * PAGE_SIZE]) \
-                == data
-
-    def test_sparse_skips_clean_and_decayed_pages(self):
-        tags = ShadowTags(2 * PAGE_SIZE)
-        assert tags.dump(sparse=True) == {}
-        tags.set(0, 3)
-        tags.set(0, 0)   # decayed back to fill
-        assert tags.dump(sparse=True) == {}
-
-    def test_state_dict_round_trip(self):
-        tags = ShadowTags(2 * PAGE_SIZE)
-        tags.set(100, 2)
-        restored = ShadowTags(2 * PAGE_SIZE)
-        restored.set(50, 1)   # stale taint must clear
-        restored.load_state_dict(json.loads(json.dumps(tags.state_dict())))
-        assert restored.dump() == tags.dump()
-
-    def test_geometry_mismatch_rejected(self):
-        tags = ShadowTags(2 * PAGE_SIZE)
-        other = ShadowTags(4 * PAGE_SIZE)
-        with pytest.raises(ValueError, match="geometry"):
-            other.load_state_dict(tags.state_dict())
 
 
 class TestPlatformRoundTrip:
