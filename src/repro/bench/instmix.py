@@ -6,9 +6,10 @@ division heavy; sha512: ALU+memory heavy; ...).  This module measures
 that claim: it single-steps a workload, classifies every retired
 instruction, and reports the category distribution.
 
-Categories: ``alu`` (integer op-imm/op incl. lui/auipc), ``muldiv``
-(M extension), ``load``, ``store``, ``branch`` (conditional), ``jump``
-(jal/jalr), ``system`` (csr/ecall/ebreak/mret/wfi/fence).
+Categories are the opcode groups of :mod:`repro.obs.metrics`: ``alu``
+(integer op-imm/op incl. lui/auipc), ``muldiv`` (M extension), ``load``,
+``store``, ``branch`` (conditional), ``jump`` (jal/jalr), ``system``
+(csr/ecall/ebreak/mret/wfi/fence).
 """
 
 from __future__ import annotations
@@ -16,28 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
+from repro.obs.metrics import GROUP_OF_OP, OPCODE_GROUPS
 from repro.vp import cpu as cpu_mod
 from repro.vp import decode as D
 from repro.vp.platform import Platform
 
-CATEGORIES = ["alu", "muldiv", "load", "store", "branch", "jump", "system"]
-
-_CATEGORY_OF = {}
-for _op in range(D.N_OPS):
-    if D.LB <= _op <= D.LHU:
-        _CATEGORY_OF[_op] = "load"
-    elif D.SB <= _op <= D.SW:
-        _CATEGORY_OF[_op] = "store"
-    elif D.BEQ <= _op <= D.BGEU:
-        _CATEGORY_OF[_op] = "branch"
-    elif _op in (D.JAL, D.JALR):
-        _CATEGORY_OF[_op] = "jump"
-    elif D.MUL <= _op <= D.REMU:
-        _CATEGORY_OF[_op] = "muldiv"
-    elif D.ADDI <= _op <= D.AND or _op in (D.LUI, D.AUIPC):
-        _CATEGORY_OF[_op] = "alu"
-    else:
-        _CATEGORY_OF[_op] = "system"
+#: the categories, in reporting order: the opcode groups of the CPU's
+#: instruction-level profile
+CATEGORIES = list(OPCODE_GROUPS)
 
 
 @dataclass
@@ -73,7 +60,6 @@ def profile_platform(platform: Platform, name: str,
     # invariants to locals and fetch the opcode word straight from the
     # DMI bytearray instead of round-tripping through read_word()
     counts = mix.counts
-    category_of = _CATEGORY_OF
     ram = cpu.ram
     ram_base = cpu.ram_base
     ram_hi = cpu.ram_end - 4
@@ -94,7 +80,7 @@ def profile_platform(platform: Platform, name: str,
         word = frombytes(ram[off:off + 4], "little")
         cat = cache.get(word)
         if cat is None:
-            cat = category_of[decode(word)[0]]
+            cat = CATEGORIES[GROUP_OF_OP[decode(word)[0]]]
             cache[word] = cat
         executed, reason = run(1)
         if not executed:

@@ -15,7 +15,6 @@ hello      w -> b    ``proto``, worker ``name``
 welcome    b -> w    ``proto``, broker ``name``, assigned worker ``id``
 request    w -> b    idle worker asks for the next job
 job        b -> w    ``spec`` (a JobSpec dict), ``attempt``
-idle       b -> w    nothing runnable right now; ask again after ``delay``
 result     w -> b    a ``repro.campaign.job/1`` document in ``record``
 heartbeat  w -> b    liveness while a job simulates (``job_id``)
 fetch      w -> b    request a shared artifact by ``artifact_id``

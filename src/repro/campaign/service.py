@@ -928,9 +928,6 @@ def _pull_jobs(sock: socket.socket, name: str, heartbeat: float = 2.0,
                     note("broker finished; shutting down")
                     break
                 kind = message.get("type")
-                if kind == "idle":
-                    time.sleep(float(message.get("delay", 0.2)))
-                    continue
                 if kind == "error":
                     raise ProtocolError(
                         f"broker error: {message.get('message')}")

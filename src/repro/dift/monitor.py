@@ -328,7 +328,7 @@ class DiftMonitor:
             new_tag = self.engine.lub[old_tag][src_tag]
             write = rs1 != 0
         if write:
-            if csr_addr >= 0xC00 or csr_addr in (CSR.MHARTID, CSR.MISA):
+            if not self._csr_probe.writable(csr_addr):
                 return  # read-only: illegal-write fault, no tag effects
             self.csr_tags[csr_addr] = new_tag
         if rd:

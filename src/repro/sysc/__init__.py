@@ -3,7 +3,7 @@
 This package is the substrate the paper assumes (IEEE-1666 SystemC + OSCI
 TLM-2.0), re-implemented from scratch in Python: generator-based SC_THREAD
 processes, delta cycles, timed events, blocking transport with per-byte
-security tags on the payload, an address-routed bus and DMI.
+security tags on the payload and an address-routed bus.
 """
 
 from repro.sysc.event import Event
@@ -18,7 +18,6 @@ from repro.sysc.tlm import (
     OK,
     READ,
     WRITE,
-    DmiRegion,
     GenericPayload,
     InitiatorSocket,
     MapEntry,
@@ -44,7 +43,6 @@ __all__ = [
     "TargetSocket",
     "Router",
     "MapEntry",
-    "DmiRegion",
     "READ",
     "WRITE",
     "OK",

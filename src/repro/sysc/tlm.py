@@ -12,9 +12,10 @@ Reproduces the parts of OSCI TLM-2.0 the VP uses:
   (``b_transport``) with a timing-annotation delay, loosely-timed style.
 * :class:`Router` — address-map based routing from initiators to targets
   with global-to-local address translation, like the VP's TLM bus.
-* **DMI** (direct memory interface): targets may grant a direct pointer to
-  their backing store so the ISS can skip transaction overhead on RAM,
-  exactly as the original RISC-V VP does.
+
+RAM's direct memory interface (DMI) is not routed through here: the
+platform hands the CPU its backing stores with
+:meth:`repro.vp.cpu.Cpu.attach_ram`.
 """
 
 from __future__ import annotations
@@ -161,26 +162,6 @@ class MapEntry:
         return self.start <= address < self.end
 
 
-class DmiRegion:
-    """A granted direct-memory region (TLM DMI analogue).
-
-    ``data`` (and ``tags`` on a DIFT platform) are the live backing stores
-    of the target; index them with ``address - start``.
-    """
-
-    __slots__ = ("start", "end", "data", "tags")
-
-    def __init__(self, start: int, end: int, data: bytearray,
-                 tags: Optional[bytearray]):
-        self.start = start
-        self.end = end
-        self.data = data
-        self.tags = tags
-
-    def __contains__(self, address: int) -> bool:
-        return self.start <= address < self.end
-
-
 class Router:
     """Address-routed interconnect (the VP's TLM bus).
 
@@ -198,7 +179,6 @@ class Router:
         self._map: List[MapEntry] = []
         # entry starts in map order, for the bisect decode
         self._starts: List[int] = []
-        self._dmi_providers: dict = {}
         self.transactions_routed = 0
         # MRU decode cache: MMIO traffic clusters on one target (a guest
         # polling a peripheral), making the last entry the overwhelmingly
@@ -234,18 +214,6 @@ class Router:
         self._map.sort(key=lambda e: e.start)
         self._starts = [entry.start for entry in self._map]
         self._last_entry = None
-
-    def register_dmi(self, start: int, size: int, data: bytearray,
-                     tags: Optional[bytearray] = None) -> None:
-        """Record a DMI grant for ``[start, start+size)``."""
-        self._dmi_providers[start] = DmiRegion(start, start + size, data, tags)
-
-    def get_dmi(self, address: int) -> Optional[DmiRegion]:
-        """DMI region covering ``address``, if any target granted one."""
-        for region in self._dmi_providers.values():
-            if address in region:
-                return region
-        return None
 
     def decode(self, address: int) -> MapEntry:
         """Map entry covering ``address`` (raises BusError if unmapped)."""

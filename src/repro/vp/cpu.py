@@ -22,9 +22,18 @@ mode's hand-over to the DIFT loop) under ``if not _DIFT:``.  At import,
 ``Cpu._interp_dift``.  CPython drops the dead branch of a constant test,
 so the plain loop holds no DIFT bytecode and no flag test: the VP pays
 for no DIFT hook, and the Table II overhead comparison stays honest.
-Both loops keep the template's file and line numbers, so tracebacks,
-coverage and ``inspect.getsource`` show the template's lines, while a
-profile lists ``_interp_plain`` and ``_interp_dift`` as two entries.
+
+The template does not spell out what an ALU, shift or branch opcode
+computes.  The placeholders ``_TAKEN(op, a, b)``, ``_IMM_VALUE(op, a,
+i)``, ``_SHIFT_VALUE(op, a, i)`` and ``_REG_VALUE(op, a, b)`` stand for
+it, and :func:`_specialize` replaces each with a one-line conditional
+chain over the entries of
+:data:`repro.vp.decode.VALUE` and :data:`~repro.vp.decode.TAKEN`, the
+table the JIT's code generator emits from too.  Every expansion stays on
+its line, so both loops keep the template's file and line numbers:
+tracebacks, coverage and ``inspect.getsource`` show the template's
+lines, while a profile lists ``_interp_plain`` and ``_interp_dift`` as
+two entries.
 
 RAM is accessed through a DMI pointer (``ram``/``ram_tags``) granted by the
 memory module; everything else goes through TLM transactions whose payloads
@@ -104,9 +113,11 @@ DIFT_MODES = (DIFT_FULL, DIFT_DEMAND)
 
 _MASK32 = 0xFFFFFFFF
 
-#: the interpreter template's flag; _specialize() replaces it with a
-#: literal before compiling, so this binding is never read
+#: the interpreter template's flag and expression placeholders;
+#: _specialize() replaces each before compiling, so these bindings are
+#: never read
 _DIFT = False
+_TAKEN = _IMM_VALUE = _SHIFT_VALUE = _REG_VALUE = None
 
 
 class Cpu(Module):
@@ -592,7 +603,10 @@ class Cpu(Module):
     # _specialize() compiles this into _interp_plain (_DIFT = False) and
     # _interp_dift (_DIFT = True).  Keep every flag test bare -- `if
     # _DIFT:`, `if not _DIFT:`, `else:` -- so the compiler drops the dead
-    # branch: 3.9 keeps `if _DIFT and x:` as a run-time test.
+    # branch: 3.9 keeps `if _DIFT and x:` as a run-time test.  The ALU,
+    # shift and branch placeholders are written as calls on the locals
+    # their expansion reads; a change to what those opcodes compute is an
+    # edit to the table in vp/decode.py.
 
     def _interp(self, n: int) -> Tuple[int, str]:
         regs = self.regs
@@ -727,18 +741,7 @@ class Cpu(Module):
                                     break
                     a = regs[d[2]]
                     b = regs[d[3]]
-                    if op == D.BEQ:
-                        taken = a == b
-                    elif op == D.BNE:
-                        taken = a != b
-                    elif op == D.BLTU:
-                        taken = a < b
-                    elif op == D.BGEU:
-                        taken = a >= b
-                    else:
-                        sa = a - 0x100000000 if a >= 0x80000000 else a
-                        sb = b - 0x100000000 if b >= 0x80000000 else b
-                        taken = sa < sb if op == D.BLT else sa >= sb
+                    taken = _TAKEN(op, a, b)
                     if taken:
                         next_pc = (pc + d[4]) & _MASK32
                         if jhot is not None and d[4] < 0:
@@ -998,20 +1001,8 @@ class Cpu(Module):
 
             elif op <= D.ANDI:  # immediate ALU
                 a = regs[d[2]]
-                imm = d[4]
-                if op == D.ADDI:
-                    value = (a + imm) & _MASK32
-                elif op == D.ANDI:
-                    value = a & (imm & _MASK32)
-                elif op == D.ORI:
-                    value = a | (imm & _MASK32)
-                elif op == D.XORI:
-                    value = a ^ (imm & _MASK32)
-                elif op == D.SLTIU:
-                    value = 1 if a < (imm & _MASK32) else 0
-                else:  # SLTI
-                    sa = a - 0x100000000 if a >= 0x80000000 else a
-                    value = 1 if sa < imm else 0
+                i = d[4]
+                value = _IMM_VALUE(op, a, i)
                 if d[1]:
                     regs[d[1]] = value
                     if _DIFT:
@@ -1019,14 +1010,8 @@ class Cpu(Module):
 
             elif op <= D.SRAI:  # immediate shifts
                 a = regs[d[2]]
-                sh = d[4]
-                if op == D.SLLI:
-                    value = (a << sh) & _MASK32
-                elif op == D.SRLI:
-                    value = a >> sh
-                else:
-                    sa = a - 0x100000000 if a >= 0x80000000 else a
-                    value = (sa >> sh) & _MASK32
+                i = d[4]
+                value = _SHIFT_VALUE(op, a, i)
                 if d[1]:
                     regs[d[1]] = value
                     if _DIFT:
@@ -1035,29 +1020,7 @@ class Cpu(Module):
             elif op <= D.AND:  # register ALU
                 a = regs[d[2]]
                 b = regs[d[3]]
-                if op == D.ADD:
-                    value = (a + b) & _MASK32
-                elif op == D.SUB:
-                    value = (a - b) & _MASK32
-                elif op == D.AND:
-                    value = a & b
-                elif op == D.OR:
-                    value = a | b
-                elif op == D.XOR:
-                    value = a ^ b
-                elif op == D.SLL:
-                    value = (a << (b & 31)) & _MASK32
-                elif op == D.SRL:
-                    value = a >> (b & 31)
-                elif op == D.SRA:
-                    sa = a - 0x100000000 if a >= 0x80000000 else a
-                    value = (sa >> (b & 31)) & _MASK32
-                elif op == D.SLTU:
-                    value = 1 if a < b else 0
-                else:  # SLT
-                    sa = a - 0x100000000 if a >= 0x80000000 else a
-                    sb = b - 0x100000000 if b >= 0x80000000 else b
-                    value = 1 if sa < sb else 0
+                value = _REG_VALUE(op, a, b)
                 if d[1]:
                     regs[d[1]] = value
                     if _DIFT:
@@ -1237,14 +1200,43 @@ def _muldiv(op: int, a: int, b: int) -> int:
     return a if b == 0 else a % b
 
 
+#: the template's expression placeholders, written as calls on the locals
+#: the expansion reads: each becomes a conditional chain over these
+#: opcodes' :data:`~repro.vp.decode.VALUE` or
+#: :data:`~repro.vp.decode.TAKEN` entries, tested in this order (most
+#: frequent first; the last is the chain's ``else``)
+_CHAINS = (
+    ("_TAKEN(op, a, b)", (D.BEQ, D.BNE, D.BLTU, D.BGEU, D.BLT, D.BGE)),
+    ("_IMM_VALUE(op, a, i)",
+     (D.ADDI, D.ANDI, D.ORI, D.XORI, D.SLTIU, D.SLTI)),
+    ("_SHIFT_VALUE(op, a, i)", (D.SLLI, D.SRLI, D.SRAI)),
+    ("_REG_VALUE(op, a, b)", (D.ADD, D.SUB, D.AND, D.OR, D.XOR, D.SLL,
+                              D.SRL, D.SRA, D.SLTU, D.SLT)),
+)
+
+
+def _chain(ops: Tuple[int, ...]) -> str:
+    """One line: ``(e1) if op == D.X1 else (e2) if ... else (en)``, with
+    the entries over the template's locals ``a``, ``b`` and ``i``."""
+    table = {**D.VALUE, **D.TAKEN}
+    names = {"a": "a", "b": "b", "i": "i",
+             "sa": f"({D.signed('a')})", "sb": f"({D.signed('b')})"}
+    *tested, last = ops
+    return "".join(
+        f"({D.expand(table[op], names)}) "
+        f"if op == D.{D.OP_NAMES[op].upper()} else " for op in tested
+    ) + f"({D.expand(table[last], names)})"
+
+
 def _specialize() -> None:
     """Compile :meth:`Cpu._interp` into ``_interp_plain`` and ``_interp_dift``.
 
     Each variant is the template's text with ``_DIFT`` replaced by a
-    literal, compiled at the template's own line numbers in a ``class
-    Cpu:`` header, so it keeps its own name, the qualified name
-    ``Cpu.<name>`` and the template's file and lines.  The template is
-    then removed: no loop with a run-time flag exists.
+    literal and each :data:`_CHAINS` placeholder by its one-line chain,
+    compiled at the template's own line numbers in a ``class Cpu:``
+    header, so it keeps its own name, the qualified name ``Cpu.<name>``
+    and the template's file and lines.  The template is then removed: no
+    loop with a run-time flag exists.
     """
     first = Cpu._interp.__code__.co_firstlineno
     with open(__file__, encoding="utf-8") as handle:
@@ -1255,10 +1247,12 @@ def _specialize() -> None:
                                  or lines[last].startswith(" " * 8)):
         last += 1
     template = "".join(lines[first - 1:last])
+    chains = [(name, _chain(ops)) for name, ops in _CHAINS]
     for name, flag in (("_interp_plain", "False"), ("_interp_dift", "True")):
         text = template.replace("def _interp(", f"def {name}(", 1)
-        source = "\n" * (first - 2) + "class Cpu:\n" + text.replace(
-            "_DIFT", flag)
+        for placeholder, expr in [("_DIFT", flag)] + chains:
+            text = text.replace(placeholder, expr)
+        source = "\n" * (first - 2) + "class Cpu:\n" + text
         namespace: dict = {}
         exec(compile(source, __file__, "exec"), globals(), namespace)
         setattr(Cpu, name, vars(namespace["Cpu"])[name])

@@ -112,9 +112,15 @@ class CsrFile:
             return (self._time_fn() if self._time_fn else 0) & 0xFFFFFFFF
         return self._values.get(csr, 0)
 
+    @staticmethod
+    def writable(csr: int) -> bool:
+        """False for the read-only CSRs: the user counters (``0xC00`` and
+        up), ``mhartid`` and ``misa``; writing one is an illegal write."""
+        return csr < 0xC00 and csr != MHARTID and csr != MISA
+
     def write(self, csr: int, value: int) -> bool:
         """Write a CSR; returns False for read-only CSRs (illegal write)."""
-        if csr >= 0xC00 or csr == MHARTID or csr == MISA:
+        if not self.writable(csr):
             return False
         value &= 0xFFFFFFFF
         if csr == MSTATUS:

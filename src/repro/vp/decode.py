@@ -2,9 +2,17 @@
 
 Decodes a 32-bit instruction word into a compact tuple
 ``(op, rd, rs1, rs2, imm)`` where ``op`` is one of the dense integer
-opcode IDs below.  The ISS keeps a word -> tuple decode cache, so decoding
-happens once per distinct instruction word; the executors dispatch on the
-dense ID with an if/elif ladder ordered by dynamic frequency.
+opcode IDs below.  A field the opcode does not use is 0, so ``rd`` is 0
+for stores and branches and ``rs2`` is 0 for every I-type instruction.
+The ISS keeps a word -> tuple decode cache, so decoding happens once per
+distinct instruction word; the executors dispatch on the dense ID with
+an if/elif ladder ordered by dynamic frequency.
+
+:data:`VALUE` and :data:`TAKEN` state what the ALU, shift and branch
+opcodes compute, once, as Python expressions.  The interpreter loops of
+:mod:`repro.vp.cpu` and the superblock code generator of
+:mod:`repro.vp.jit.codegen` both emit their code from them;
+:mod:`repro.verify.reference` states the same semantics independently.
 
 The encoding knowledge here deliberately duplicates
 :mod:`repro.asm.isa` (the assembler's tables): the test suite cross-checks
@@ -13,7 +21,8 @@ the two against each other, which would be impossible if they shared code.
 
 from __future__ import annotations
 
-from typing import Tuple
+import re
+from typing import Dict, Tuple
 
 # dense opcode IDs, grouped; order matters only for readability
 LUI = 0
@@ -88,6 +97,63 @@ OP_NAMES = [
 ]
 
 Decoded = Tuple[int, int, int, int, int]
+
+# The result of each ALU and shift opcode and the condition of each
+# branch, as Python expressions over ``a``/``b`` (the unsigned 32-bit
+# rs1/rs2 values), ``sa``/``sb`` (their signed forms) and ``i`` (the
+# decoded immediate, or the shift amount).  Emitters substitute their
+# own operand text with :func:`expand`.
+
+#: result of each ALU and shift opcode, ``ADDI`` ... ``AND``
+VALUE: Dict[int, str] = {
+    ADDI: "(a + i) & 0xFFFFFFFF",
+    SLTI: "1 if sa < i else 0",
+    SLTIU: "1 if a < (i & 0xFFFFFFFF) else 0",
+    XORI: "a ^ (i & 0xFFFFFFFF)",
+    ORI: "a | (i & 0xFFFFFFFF)",
+    ANDI: "a & (i & 0xFFFFFFFF)",
+    SLLI: "(a << i) & 0xFFFFFFFF",
+    SRLI: "a >> i",
+    SRAI: "(sa >> i) & 0xFFFFFFFF",
+    ADD: "(a + b) & 0xFFFFFFFF",
+    SUB: "(a - b) & 0xFFFFFFFF",
+    SLL: "(a << (b & 31)) & 0xFFFFFFFF",
+    SLT: "1 if sa < sb else 0",
+    SLTU: "1 if a < b else 0",
+    XOR: "a ^ b",
+    SRL: "a >> (b & 31)",
+    SRA: "(sa >> (b & 31)) & 0xFFFFFFFF",
+    OR: "a | b",
+    AND: "a & b",
+}
+
+#: taken condition of each conditional branch, ``BEQ`` ... ``BGEU``
+TAKEN: Dict[int, str] = {
+    BEQ: "a == b",
+    BNE: "a != b",
+    BLT: "sa < sb",
+    BGE: "sa >= sb",
+    BLTU: "a < b",
+    BGEU: "a >= b",
+}
+
+_OPERAND = re.compile(r"\b(?:sa|sb|a|b|i)\b")
+
+
+def operands(expr: str) -> set:
+    """The operand names a :data:`VALUE` or :data:`TAKEN` entry uses."""
+    return set(_OPERAND.findall(expr))
+
+
+def expand(expr: str, names: Dict[str, str]) -> str:
+    """``expr`` with each operand name replaced by ``names[name]``."""
+    return _OPERAND.sub(lambda match: names[match.group()], expr)
+
+
+def signed(value: str) -> str:
+    """Expression for the signed form of the unsigned 32-bit ``value``."""
+    return f"{value} - 0x100000000 if {value} >= 0x80000000 else {value}"
+
 
 _BRANCH_BY_F3 = {0: BEQ, 1: BNE, 4: BLT, 5: BGE, 6: BLTU, 7: BGEU}
 _LOAD_BY_F3 = {0: LB, 1: LH, 2: LW, 4: LBU, 5: LHU}

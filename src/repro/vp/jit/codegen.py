@@ -42,6 +42,15 @@ the remaining quantum budget cannot fit another iteration, which is
 what buys the >=3x on tight loops — one dispatch, one writeback,
 thousands of retired instructions.
 
+ALU, shift and branch code is emitted from :data:`repro.vp.decode.VALUE`
+and :data:`~repro.vp.decode.TAKEN`, the table the interpreter loops are
+compiled from, with each instruction's operands substituted: registers
+become locals ``r<n>``, ``x0`` the literal ``0``, the immediate a
+literal, and a signed operand the temporary ``sx`` or ``sy``.  CPython
+folds the constant parts.  ``addi`` keeps its ``li``/``mv`` forms (and
+``addi rd, rd, 0`` emits nothing); ``mul`` is inline and the rest of the
+M extension calls ``md``, the interpreter's ``_muldiv``.
+
 Aligned in-RAM ``lw``/``sw`` use the 32-bit views ``cpu.ram32`` and
 ``cpu.tags32`` with the interpreter's rule: a tag word whose four bytes
 are equal is its own LUB, only a mixed word folds, and a stored tag is
@@ -116,9 +125,9 @@ def compile_block(cpu, code_lines, invalidate_write, instrs,
                   terminated: bool, dift: bool) -> Optional[Superblock]:
     """Compile ``instrs`` (from the builder) into a :class:`Superblock`.
 
-    Returns ``None`` for shapes the generator does not support (none
-    exist today for builder-approved blocks; the escape hatch keeps a
-    decode-table drift from turning into a miscompile).
+    Returns ``None`` for a block holding an opcode from ``ECALL`` on
+    (system, CSR or illegal), which the builder never passes: the
+    generator has no code for them.
     """
     entry = instrs[0][0]
     length = len(instrs)
@@ -136,52 +145,12 @@ def compile_block(cpu, code_lines, invalidate_write, instrs,
         if top_op == D.JAL or D.BEQ <= top_op <= D.BGEU:
             loop = ((last_pc + last_d[4]) & _MASK32) == entry
 
-    # ---- register read/write sets ---------------------------------- #
-    reads: set = set()
-    writes: set = set()
-    for __, d in instrs:
-        op, rd, rs1, rs2, __imm = d
-        if op in (D.LUI, D.AUIPC, D.JAL):
-            if rd:
-                writes.add(rd)
-        elif op == D.JALR:
-            if rs1:
-                reads.add(rs1)
-            if rd:
-                writes.add(rd)
-        elif D.BEQ <= op <= D.BGEU:
-            if rs1:
-                reads.add(rs1)
-            if rs2:
-                reads.add(rs2)
-        elif op <= D.LHU:  # loads
-            if rs1:
-                reads.add(rs1)
-            if rd:
-                writes.add(rd)
-        elif op <= D.SW:  # stores
-            if rs1:
-                reads.add(rs1)
-            if rs2:
-                reads.add(rs2)
-        elif op <= D.SRAI:  # imm ALU + shifts
-            if rs1:
-                reads.add(rs1)
-            if rd:
-                writes.add(rd)
-        elif op <= D.REMU:  # reg ALU + muldiv
-            if rs1:
-                reads.add(rs1)
-            if rs2:
-                reads.add(rs2)
-            if rd:
-                writes.add(rd)
-        elif op == D.FENCE:
-            pass
-        else:  # pragma: no cover - builder never passes these through
-            return None
-    hoisted = sorted(reads | writes)
-    wb_regs = sorted(writes)
+    if any(d[0] >= D.ECALL for __, d in instrs):
+        return None  # pragma: no cover - the builder never passes these
+    # decode() zeroes every field an opcode does not use, so the fields
+    # themselves are the registers a block reads and writes
+    wb_regs = sorted({d[1] for __, d in instrs} - {0})
+    hoisted = sorted({r for __, d in instrs for r in d[1:4]} - {0})
 
     # ---- expression helpers ---------------------------------------- #
     need: Set[str] = set()   # prologue bindings and defaults in use
@@ -200,11 +169,18 @@ def compile_block(cpu, code_lines, invalidate_write, instrs,
         need.add("fl")
         return f"not fl[{tag}][{req}]"
 
-    def signed(expr: str, tmp: str) -> Tuple[List[str], str]:
-        if expr == "0":
-            return [], "0"
-        return ([f"{tmp} = {expr} - 0x100000000 "
-                 f"if {expr} >= 0x80000000 else {expr}"], tmp)
+    def semantics(ind: int, expr: str, rs1: int, rs2: int, imm: int) -> str:
+        """A :data:`~repro.vp.decode.VALUE` or ``TAKEN`` entry over the
+        instruction's operands; emits the signed temporaries ``sx``/``sy``
+        it reads first (an x0 operand is the literal ``0``)."""
+        names = {"a": rx(rs1), "b": rx(rs2), "i": str(imm)}
+        used = D.operands(expr)
+        for name, reg, tmp in (("sa", rs1, "sx"), ("sb", rs2, "sy")):
+            if name in used:
+                names[name] = tmp if reg else "0"
+                if reg:
+                    emit(ind, f"{tmp} = {D.signed(rx(reg))}")
+        return D.expand(expr, names)
 
     def addr_expr(rs1: int, imm: int) -> str:
         if rs1 == 0:
@@ -231,25 +207,6 @@ def compile_block(cpu, code_lines, invalidate_write, instrs,
             emit(ind, f"n += {count}")
         emit(ind, f"k = {kind}")
         emit(ind, "break")
-
-    def branch_cond(ind: int, op: int, rs1: int, rs2: int) -> str:
-        a = rx(rs1)
-        b = rx(rs2)
-        if op == D.BEQ:
-            return f"{a} == {b}"
-        if op == D.BNE:
-            return f"{a} != {b}"
-        if op == D.BLTU:
-            return f"{a} < {b}"
-        if op == D.BGEU:
-            return f"{a} >= {b}"
-        pre, sa = signed(a, "sx")
-        for ln in pre:
-            emit(ind, ln)
-        pre, sb = signed(b, "sy")
-        for ln in pre:
-            emit(ind, ln)
-        return f"{sa} < {sb}" if op == D.BLT else f"{sa} >= {sb}"
 
     def branch_clearance(ind: int, i: int, pc: int, rs1: int,
                          rs2: int) -> None:
@@ -378,97 +335,22 @@ def compile_block(cpu, code_lines, invalidate_write, instrs,
                     emit(ind, f"mt[{offs(k)}] = {tx(rs2)}")
             smc_exit(ind, i, pc, size)
 
-        elif op <= D.ANDI:  # immediate ALU
-            if rd:
-                a = rx(rs1)
-                if op == D.ADDI:
-                    if rs1 == 0:
-                        expr = str(imm & _MASK32)
-                    elif imm == 0:
-                        expr = a
-                    else:
-                        expr = f"({a} + {imm}) & 0xFFFFFFFF"
-                elif op == D.ANDI:
-                    expr = f"{a} & {imm & _MASK32}"
-                elif op == D.ORI:
-                    expr = f"{a} | {imm & _MASK32}"
-                elif op == D.XORI:
-                    expr = f"{a} ^ {imm & _MASK32}"
-                elif op == D.SLTIU:
-                    expr = f"1 if {a} < {imm & _MASK32} else 0"
-                else:  # SLTI
-                    pre, sa = signed(a, "sx")
-                    for ln in pre:
-                        emit(ind, ln)
-                    expr = f"1 if {sa} < {imm} else 0"
-                if expr != f"r{rd}":
-                    emit(ind, f"r{rd} = {expr}")
-                if dift and (rs1 == 0 or rd != rs1):
-                    emit(ind, f"t{rd} = {tx(rs1)}")
-
-        elif op <= D.SRAI:  # immediate shifts
-            if rd:
-                a = rx(rs1)
-                if op == D.SLLI:
-                    expr = f"({a} << {imm}) & 0xFFFFFFFF"
-                elif op == D.SRLI:
-                    expr = f"{a} >> {imm}"
-                else:  # SRAI
-                    pre, sa = signed(a, "sx")
-                    for ln in pre:
-                        emit(ind, ln)
-                    expr = f"({sa} >> {imm}) & 0xFFFFFFFF"
+        elif op <= D.REMU and rd:  # ALU, shifts and the M extension
+            if op == D.ADDI and not (rs1 and imm):  # li / mv
+                expr = rx(rs1) if rs1 else str(imm & _MASK32)
+            elif op == D.MUL:
+                expr = f"({rx(rs1)} * {rx(rs2)}) & 0xFFFFFFFF"
+            elif op > D.MUL:
+                need.add("md")
+                expr = f"md({op}, {rx(rs1)}, {rx(rs2)})"
+            else:
+                expr = semantics(ind, D.VALUE[op], rs1, rs2, imm)
+            if expr != f"r{rd}":
                 emit(ind, f"r{rd} = {expr}")
-                if dift and (rs1 == 0 or rd != rs1):
-                    emit(ind, f"t{rd} = {tx(rs1)}")
-
-        elif op <= D.AND:  # register ALU
-            if rd:
-                a = rx(rs1)
-                b = rx(rs2)
-                if op == D.ADD:
-                    expr = f"({a} + {b}) & 0xFFFFFFFF"
-                elif op == D.SUB:
-                    expr = f"({a} - {b}) & 0xFFFFFFFF"
-                elif op == D.AND:
-                    expr = f"{a} & {b}"
-                elif op == D.OR:
-                    expr = f"{a} | {b}"
-                elif op == D.XOR:
-                    expr = f"{a} ^ {b}"
-                elif op == D.SLL:
-                    expr = f"({a} << ({b} & 31)) & 0xFFFFFFFF"
-                elif op == D.SRL:
-                    expr = f"{a} >> ({b} & 31)"
-                elif op == D.SRA:
-                    pre, sa = signed(a, "sx")
-                    for ln in pre:
-                        emit(ind, ln)
-                    expr = f"({sa} >> ({b} & 31)) & 0xFFFFFFFF"
-                elif op == D.SLTU:
-                    expr = f"1 if {a} < {b} else 0"
-                else:  # SLT
-                    pre, sa = signed(a, "sx")
-                    for ln in pre:
-                        emit(ind, ln)
-                    pre, sb = signed(b, "sy")
-                    for ln in pre:
-                        emit(ind, ln)
-                    expr = f"1 if {sa} < {sb} else 0"
-                emit(ind, f"r{rd} = {expr}")
-                if dift:
-                    emit(ind, f"t{rd} = {lub(tx(rs1), tx(rs2))}")
-
-        elif op <= D.REMU:  # M extension
-            if rd:
-                if op == D.MUL:
-                    emit(ind, f"r{rd} = ({rx(rs1)} * {rx(rs2)}) "
-                              f"& 0xFFFFFFFF")
-                else:
-                    need.add("md")
-                    emit(ind, f"r{rd} = md({op}, {rx(rs1)}, {rx(rs2)})")
-                if dift:
-                    emit(ind, f"t{rd} = {lub(tx(rs1), tx(rs2))}")
+            if dift and op > D.SRAI:
+                emit(ind, f"t{rd} = {lub(tx(rs1), tx(rs2))}")
+            elif dift and (rs1 == 0 or rd != rs1):
+                emit(ind, f"t{rd} = {tx(rs1)}")
 
     body = 2  # inside ``def`` and ``while True:``
     # the end index and ``else:`` line of every open skip region,
@@ -497,10 +379,10 @@ def compile_block(cpu, code_lines, invalidate_write, instrs,
         j = (target - entry) >> 2
         bound = regions[-1][0] if regions else length - 1
         if target & 3 or not i < j <= bound:
-            emit(ind, f"if {branch_cond(ind, op, rs1, rs2)}:")
+            emit(ind, f"if {semantics(ind, D.TAKEN[op], rs1, rs2, imm)}:")
             leave(ind + 1, target, i + 1, 0)
         elif j > i + 1:
-            emit(ind, f"if {branch_cond(ind, op, rs1, rs2)}:")
+            emit(ind, f"if {semantics(ind, D.TAKEN[op], rs1, rs2, imm)}:")
             emit(ind + 1, f"n -= {j - i - 1}")
             emit(ind, "else:")
             regions.append((j, len(lines) - 1))
@@ -551,7 +433,7 @@ def compile_block(cpu, code_lines, invalidate_write, instrs,
             taken = (last_pc + imm) & _MASK32
             fall = last_pc + 4
             branch_clearance(body, i, last_pc, rs1, rs2)
-            cond = branch_cond(body, op, rs1, rs2)
+            cond = semantics(body, D.TAKEN[op], rs1, rs2, imm)
             if loop:
                 emit(body, f"n += {length}")
                 emit(body, f"if {cond}:")

@@ -148,3 +148,38 @@ def test_decode_matches_encoder_sw(rs1, rs2, imm):
     word = isa.enc_s(isa.OP_STORE, 2, rs1, rs2, imm)
     op, __, drs1, drs2, dimm = D.decode(word)
     assert (op, drs1, drs2, dimm) == (D.SW, rs1, rs2, imm)
+
+
+def _uses(op):
+    """Which of (rd, rs1, rs2) an opcode uses, by encoding format;
+    csrrwi, csrrsi and csrrci read their zimm from the rs1 field."""
+    if op in (D.LUI, D.AUIPC, D.JAL):  # U, J
+        return (True, False, False)
+    if op == D.JALR or D.LB <= op <= D.LHU or D.ADDI <= op <= D.SRAI \
+            or D.CSRRW <= op <= D.CSRRCI:  # I
+        return (True, True, False)
+    if D.BEQ <= op <= D.BGEU or D.SB <= op <= D.SW:  # B, S
+        return (False, True, True)
+    if D.ADD <= op <= D.REMU:  # R
+        return (True, True, True)
+    return (False, False, False)  # fence, ecall, ebreak, mret, wfi, illegal
+
+
+#: every major opcode the decoder knows
+_MAJORS = (0x03, 0x0F, 0x13, 0x17, 0x23, 0x33, 0x37, 0x63, 0x67, 0x6F, 0x73)
+
+
+@given(_REGS, _REGS, _REGS)
+def test_decode_zeroes_unused_operand_fields(rd, rs1, rs2):
+    """The JIT hoists a block's registers straight from these fields.
+
+    Every major opcode and funct3, with the funct7 values that select
+    sub, sra, srai and the M extension, under drawn register fields."""
+    for major in _MAJORS:
+        for funct3 in range(8):
+            for funct7 in (0x00, 0x01, 0x20):
+                word = ((funct7 << 25) | (rs2 << 20) | (rs1 << 15)
+                        | (funct3 << 12) | (rd << 7) | major)
+                op, *fields = D.decode(word)[:4]
+                for value, used in zip(fields, _uses(op)):
+                    assert used or value == 0, (D.OP_NAMES[op], hex(word))

@@ -3,12 +3,13 @@
 ``repro.vp.cpu`` writes the quantum loop once, as ``Cpu._interp``, with
 DIFT-only code under ``if _DIFT:`` and plain-only code under ``if not
 _DIFT:``, and compiles it at import into ``Cpu._interp_plain`` (the VP)
-and ``Cpu._interp_dift`` (the VP+), with the flag replaced by a literal.
-These checks read the compiled bytecode: the plain loop must carry none
-of the DIFT code (or Table II's VP baseline would pay for hooks it never
-uses), neither loop may test the flag at run time, and profiles and
-tracebacks must still tell the two loops apart and point at the
-template.
+and ``Cpu._interp_dift`` (the VP+), with the flag replaced by a literal
+and the ALU, shift and branch placeholders by one-line chains from the
+opcode table.  These checks read the compiled bytecode: the plain loop
+must carry none of the DIFT code (or Table II's VP baseline would pay
+for hooks it never uses), neither loop may test the flag at run time or
+name a placeholder, and profiles and tracebacks must still tell the two
+loops apart and point at the template's lines.
 
 Only the standard library is used, so the module also runs as a plain
 script on interpreters without pytest::
@@ -20,6 +21,7 @@ import cProfile
 import dis
 import os
 import pstats
+import re
 
 from repro.bench.workloads import WORKLOADS
 from repro.vp import cpu as cpu_module
@@ -41,6 +43,10 @@ _PLAIN_ATTRS = {"taint_introduced", "clean", "hot_plain", "ready_plain",
                 "blocks_plain"}
 _PLAIN_GLOBALS = {"RETAINT"}
 
+#: the template's placeholders, each replaced before compiling
+_PLACEHOLDERS = {"_DIFT", "_TAKEN", "_IMM_VALUE", "_SHIFT_VALUE",
+                 "_REG_VALUE"}
+
 #: instructions that pass a condition through to its jump unchanged
 _TRANSPARENT = {"TO_BOOL", "NOT_TAKEN", "COPY", "EXTENDED_ARG", "CACHE",
                 "NOP"}
@@ -54,6 +60,22 @@ def _names(fn, *kinds):
             argval = ins.argval
             names.update(argval if isinstance(argval, tuple) else (argval,))
     return names
+
+
+def _names_by_line(fn):
+    """``{line: names loaded}`` over the instructions of ``fn``."""
+    loaded = {}
+    line = None
+    for ins in dis.get_instructions(fn):
+        if hasattr(ins, "line_number"):  # 3.13+
+            line = ins.line_number
+        elif ins.starts_line is not None:
+            line = ins.starts_line
+        if "LOAD" in ins.opname and ins.opname != "LOAD_CONST":
+            argval = ins.argval
+            loaded.setdefault(line, set()).update(
+                argval if isinstance(argval, tuple) else (argval,))
+    return loaded
 
 
 def _constant_conditions(fn):
@@ -105,6 +127,32 @@ def test_neither_loop_tests_the_flag():
         assert "_DIFT" not in fn.__code__.co_names
         assert "_DIFT" not in _names(fn, "GLOBAL", "NAME", "FAST", "DEREF")
         assert not _constant_conditions(fn), fn.__name__
+
+
+def test_no_placeholder_survives():
+    for fn in (Cpu._interp_plain, Cpu._interp_dift):
+        code = fn.__code__
+        names = set(code.co_names) | set(code.co_varnames)
+        assert not _PLACEHOLDERS & names, fn.__name__
+
+
+def test_expansions_keep_the_template_line_numbers():
+    """Each placeholder expands on its own line: the line after it still
+    holds its own code, not the rest of a chain."""
+    with open(os.path.realpath(cpu_module.__file__),
+              encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    # `taken = _TAKEN(op, a, b)`, `value = _IMM_VALUE(op, a, i)`, ...
+    after = [number + 1 for number, text in enumerate(lines, 1)
+             if set(re.findall(r"= (_[A-Z_]+)\(", text)) & _PLACEHOLDERS]
+    assert len(after) == len(_PLACEHOLDERS) - 1
+    for fn in (Cpu._interp_plain, Cpu._interp_dift):
+        loaded = _names_by_line(fn)
+        for number in after:
+            # `if taken:` loads taken, `if d[1]:` loads d
+            words = set(re.findall(r"\w+", lines[number - 1]))
+            assert loaded.get(number), (fn.__name__, number)
+            assert loaded[number] <= words, (fn.__name__, number)
 
 
 def test_profile_lists_the_two_loops_apart():

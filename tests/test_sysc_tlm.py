@@ -299,21 +299,6 @@ class TestSocketChainObservable:
         assert ZERO_TIME == SimTime(0) and ZERO_TIME.ps == 0
 
 
-class TestDmi:
-    def test_dmi_grant_and_lookup(self):
-        router, memory = make_memory_router()
-        router.register_dmi(0x1000, 0x100, memory.data, memory.tags)
-        region = router.get_dmi(0x1040)
-        assert region is not None
-        region.data[0x40] = 0x99
-        assert memory.data[0x40] == 0x99  # live alias
-
-    def test_dmi_miss(self):
-        router, memory = make_memory_router()
-        router.register_dmi(0x1000, 0x100, memory.data, None)
-        assert router.get_dmi(0x2000) is None
-
-
 class TestTaggedMemoryTransport:
     def test_read_returns_tags(self):
         kernel = Kernel()

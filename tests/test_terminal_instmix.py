@@ -64,10 +64,13 @@ class TestTerminal:
 
 class TestInstructionMix:
     def test_categories_cover_everything(self):
-        from repro.bench.instmix import _CATEGORY_OF
+        from repro.obs.metrics import GROUP_OF_OP, OPCODE_GROUPS
         from repro.vp import decode as D
-        assert set(_CATEGORY_OF) == set(range(D.N_OPS))
-        assert set(_CATEGORY_OF.values()) <= set(CATEGORIES)
+        # the categories are the CPU profile's opcode groups, which
+        # classify every opcode
+        assert CATEGORIES == list(OPCODE_GROUPS)
+        assert len(GROUP_OF_OP) == D.N_OPS
+        assert all(0 <= g < len(CATEGORIES) for g in GROUP_OF_OP)
 
     def test_profile_simple_program(self):
         from repro.asm import assemble
