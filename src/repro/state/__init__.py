@@ -55,6 +55,23 @@ def decode_bytes(text: str) -> bytes:
     return base64.b64decode(text.encode("ascii"))
 
 
+def restore_bytes(buffer: bytearray, text: str, module: str,
+                  field: str) -> None:
+    """Decode ``text`` into ``buffer`` **in place**.
+
+    Peripheral buffers keep their identity for the platform's lifetime
+    (the CPU may hold a DMI window on them), and their length with it,
+    so a snapshot buffer of any other length raises
+    :class:`SnapshotError` naming ``module`` and ``field``.
+    """
+    data = decode_bytes(text)
+    if len(data) != len(buffer):
+        raise SnapshotError(
+            f"{module}.{field}: snapshot holds {len(data)} bytes, "
+            f"expected {len(buffer)}")
+    buffer[:] = data
+
+
 def encode_sparse_pages(data, default: int, page_size: int = 4096
                         ) -> Dict[str, str]:
     """Encode a flat byte buffer as ``{page_index: base64}`` keeping only
@@ -188,6 +205,7 @@ __all__ = [
     "Snapshotable",
     "encode_bytes",
     "decode_bytes",
+    "restore_bytes",
     "encode_sparse_pages",
     "decode_sparse_pages",
     "dump_document",

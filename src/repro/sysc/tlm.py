@@ -13,9 +13,12 @@ Reproduces the parts of OSCI TLM-2.0 the VP uses:
 * :class:`Router` — address-map based routing from initiators to targets
   with global-to-local address translation, like the VP's TLM bus.
 
-RAM's direct memory interface (DMI) is not routed through here: the
-platform hands the CPU its backing stores with
-:meth:`repro.vp.cpu.Cpu.attach_ram`.
+The direct memory interface (DMI) is not routed through here.  The
+platform hands the CPU RAM's backing stores with
+:meth:`repro.vp.cpu.Cpu.attach_ram`, and the windows peripherals declare
+over side-effect-free storage (:class:`repro.vp.peripherals.base.DmiWindow`)
+with :meth:`repro.vp.cpu.Cpu.attach_dmi`.  An access the CPU serves from
+a window is not a transaction: no router or target counter sees it.
 """
 
 from __future__ import annotations

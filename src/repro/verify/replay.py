@@ -11,6 +11,8 @@ compare the two final states field by field:
 * the cumulative instruction count,
 * the console output,
 * every DIFT violation record,
+* the ``modules`` of the final snapshot document: CPU, RAM, bus and
+  every peripheral's state, buffers included,
 * the observability metrics — minus the quarantined host-timing
   metrics (``wall``/``mips``/``seconds``), which legitimately differ.
 
@@ -73,6 +75,7 @@ def final_state(platform, result) -> dict:
         "instructions": platform.total_instructions,
         "console": platform.console(),
         "violations": [str(v) for v in result.violations],
+        "modules": platform.snapshot_document()["modules"],
         "metrics": {name: value
                     for name, value in platform.obs.snapshot().items()
                     if not is_timing_metric(name)

@@ -36,8 +36,11 @@ lines, while a profile lists ``_interp_plain`` and ``_interp_dift`` as
 two entries.
 
 RAM is accessed through a DMI pointer (``ram``/``ram_tags``) granted by the
-memory module; everything else goes through TLM transactions whose payloads
-carry per-byte tags on the DIFT platform.
+memory module.  Peripherals grant DMI windows over side-effect-free
+storage (:meth:`Cpu.attach_dmi`): :meth:`Cpu._mmio_read` and
+:meth:`Cpu._mmio_write` serve an access lying wholly inside one from its
+data and tag bytes.  Everything else goes through TLM transactions whose
+payloads carry per-byte tags on the DIFT platform.
 
 :meth:`Cpu.attach_ram` also builds 32-bit views of RAM and its tag shadow
 (``ram32``/``tags32``; native byte order, so the host must be
@@ -168,6 +171,11 @@ class Cpu(Module):
         self.tags32: Optional[memoryview] = None
         self.ram_base = 0
         self.ram_end = 0
+        # DMI windows into peripheral storage, one entry per byte address
+        # a window covers: (data, tags, start, end); set by the platform
+        # via attach_dmi()
+        self._dmi_reads: Dict[int, tuple] = {}
+        self._dmi_writes: Dict[int, tuple] = {}
 
         # execution clearance (tag values or None = check disabled)
         self._fetch_req: Optional[int] = None
@@ -239,6 +247,23 @@ class Cpu(Module):
         self.ram32 = memoryview(data).cast("I")
         self.tags32 = (memoryview(tags).cast("I") if tags is not None
                        else None)
+
+    def attach_dmi(self, address: int, command: str, data: bytearray,
+                   tags: bytearray) -> None:
+        """Grant a DMI window into peripheral storage (platform wiring).
+
+        From now on an access of direction ``command`` (``READ`` or
+        ``WRITE``) lying wholly inside ``[address, address + len(data))``
+        uses ``data`` and ``tags`` directly, without a transaction.  The
+        VP keeps no tag view, so its window reads return bottom.  The
+        grant lasts as long as the CPU: the owner must update both
+        bytearrays in place.
+        """
+        window = (data, tags if self.dift is not None else None, address,
+                  address + len(data))
+        table = self._dmi_reads if command == READ else self._dmi_writes
+        for byte in range(address, address + len(data)):
+            table[byte] = window
 
     def attach_jit(self, jit) -> None:
         """Attach a :class:`repro.vp.jit.JitEngine` (platform wiring).
@@ -403,10 +428,21 @@ class Cpu(Module):
         return FAULT
 
     # ------------------------------------------------------------------ #
-    # MMIO via TLM
+    # MMIO: a DMI window, else TLM
     # ------------------------------------------------------------------ #
 
     def _mmio_read(self, address: int, size: int) -> Tuple[int, int]:
+        window = self._dmi_reads.get(address)
+        if window is not None:
+            data, tags, start, end = window
+            if address + size <= end:
+                o = address - start
+                value = int.from_bytes(data[o:o + size], "little")
+                if tags is None:
+                    return value, self._bottom
+                if size == 1:
+                    return value, tags[o]
+                return value, self.dift.lub_bytes(tags[o:o + size])
         tagged = self.dift is not None
         payload = GenericPayload(READ, address, bytearray(size),
                                  bytearray(size) if tagged else None)
@@ -420,10 +456,18 @@ class Cpu(Module):
 
     def _mmio_write(self, address: int, size: int, value: int,
                     tag: int) -> None:
-        data = bytearray((value & ((1 << (8 * size)) - 1)).to_bytes(
-            size, "little"))
+        raw = (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+        window = self._dmi_writes.get(address)
+        if window is not None:
+            data, tags, start, end = window
+            if address + size <= end:
+                o = address - start
+                data[o:o + size] = raw
+                if tags is not None:
+                    tags[o:o + size] = bytes((tag,)) * size
+                return
         payload = GenericPayload(
-            WRITE, address, data,
+            WRITE, address, bytearray(raw),
             bytearray((tag,)) * size if self.dift is not None else None)
         self.isock.b_transport(payload, ZERO_TIME)
         if payload.response != OK:

@@ -19,6 +19,9 @@ Register map::
 Inputs above the peripheral's clearance are rejected (clearance check on
 every KEY/INPUT write), so an attacker cannot launder arbitrary data
 through the declassifier.
+
+``OUTPUT`` is the CPU's DMI read window: reading it has no side effect.
+Its tag view holds the output classification once per byte.
 """
 
 from __future__ import annotations
@@ -26,10 +29,11 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from repro.dift.engine import DiftEngine
-from repro.state import decode_bytes, encode_bytes
+from repro.state import encode_bytes, restore_bytes
 from repro.sysc.kernel import Kernel
+from repro.sysc.tlm import READ
 from repro.vp.peripherals.aes_core import encrypt_block
-from repro.vp.peripherals.base import MmioPeripheral
+from repro.vp.peripherals.base import DmiWindow, MmioPeripheral
 
 CTRL = 0x00
 STATUS = 0x04
@@ -43,6 +47,8 @@ SIZE = 0x40
 class AesAccelerator(MmioPeripheral):
     """Declassifying AES-128 engine."""
 
+    write_buffers = ((KEY, 16), (INPUT, 16))
+
     def __init__(self, kernel: Kernel, name: str = "aes0",
                  engine: Optional[DiftEngine] = None,
                  declassify_to: Optional[str] = None):
@@ -52,7 +58,7 @@ class AesAccelerator(MmioPeripheral):
         self.input = bytearray(16)
         self.input_tags = bytearray(16)
         self.output = bytearray(16)
-        self.output_tag = self.bottom_tag
+        self.output_tags = bytearray((self.bottom_tag,)) * 16
         self.done = False
         self.blocked_writes = 0
         self.encryptions = 0
@@ -61,6 +67,14 @@ class AesAccelerator(MmioPeripheral):
         self._in_sink = f"{name}.in"
         self._clearance: Optional[int] = (
             engine.policy.sink_tag(self._in_sink) if engine else None)
+
+    def dmi_windows(self) -> Tuple[DmiWindow, ...]:
+        return (DmiWindow(OUTPUT, READ, self.output, self.output_tags),)
+
+    @property
+    def output_tag(self) -> int:
+        """The ciphertext's classification, carried by every output byte."""
+        return self.output_tags[0]
 
     # ------------------------------------------------------------------ #
     # checkpoint / restore
@@ -80,12 +94,10 @@ class AesAccelerator(MmioPeripheral):
         }
 
     def load_state_dict(self, state: dict) -> None:
-        self.key = bytearray(decode_bytes(state["key"]))
-        self.key_tags = bytearray(decode_bytes(state["key_tags"]))
-        self.input = bytearray(decode_bytes(state["input"]))
-        self.input_tags = bytearray(decode_bytes(state["input_tags"]))
-        self.output = bytearray(decode_bytes(state["output"]))
-        self.output_tag = state["output_tag"]
+        for field in ("key", "key_tags", "input", "input_tags", "output"):
+            restore_bytes(getattr(self, field), state[field], self.name,
+                          field)
+        self.output_tags[:] = bytes((state["output_tag"],)) * 16
         self.done = state["done"]
         self.blocked_writes = state["blocked_writes"]
         self.encryptions = state["encryptions"]
@@ -174,12 +186,12 @@ class AesAccelerator(MmioPeripheral):
         self.done = True
         if self.engine is not None and self._declassify_to is not None:
             # trusted-HW declassification: ciphertext becomes public
-            self.output_tag = self.engine.declassify(
-                self.name, self._declassify_to)
+            tag = self.engine.declassify(self.name, self._declassify_to)
         elif self.engine is not None:
             # without declassification the ciphertext keeps the LUB of
             # everything that went in (key + plaintext)
-            self.output_tag = self.engine.lub_bytes(
+            tag = self.engine.lub_bytes(
                 bytes(self.key_tags) + bytes(self.input_tags))
         else:
-            self.output_tag = 0
+            tag = 0
+        self.output_tags[:] = bytes((tag,)) * 16

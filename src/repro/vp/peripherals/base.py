@@ -9,11 +9,25 @@ Tag convention: a multi-byte register read returns one tag for the whole
 value (every byte of the response carries it); a multi-byte write merges
 the incoming byte tags with LUB before the register callback sees it —
 the ``from_bytes`` rule of the paper's Taint type.
+
+Direct memory interface: a peripheral may declare DMI windows
+(:class:`DmiWindow`) over byte storage whose accesses in one direction
+have no side effect; none by default.  The platform grants each window
+to the CPU at its bus address, and the CPU serves an access lying
+wholly inside one from the window's data and tag bytes, as TLM-2.0's
+``get_direct_mem_ptr`` lets an initiator do.  Such an access is not a
+transaction: it reaches neither :meth:`MmioPeripheral.transport` nor
+its counters.  The grant lasts as long as the platform, so a window's
+bytearrays are only ever updated in place.
+
+A write that starts inside one of :attr:`MmioPeripheral.write_buffers`
+and runs past its end is answered ``ADDRESS_ERROR`` before any byte
+lands.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from repro.dift.engine import DiftEngine
 from repro.sysc.kernel import Kernel
@@ -23,8 +37,25 @@ from repro.sysc.tlm import (ADDRESS_ERROR, COMMAND_ERROR, OK, READ, WRITE,
                              GenericPayload, TargetSocket)
 
 
+class DmiWindow(NamedTuple):
+    """Peripheral storage the CPU may access without a transaction.
+
+    ``offset`` is the window's local address and ``command`` the one
+    direction it serves (``READ`` or ``WRITE``).  ``data`` and ``tags``
+    are the peripheral's own bytearrays, one tag per data byte.
+    """
+
+    offset: int
+    command: str
+    data: bytearray
+    tags: bytearray
+
+
 class MmioPeripheral(Module):
     """A TLM target exposing word/byte registers at local offsets."""
+
+    #: ``(offset, length)`` of each byte buffer a write must not run past
+    write_buffers: Tuple[Tuple[int, int], ...] = ()
 
     def __init__(self, kernel: Kernel, name: str, size: int,
                  engine: Optional[DiftEngine] = None,
@@ -45,6 +76,10 @@ class MmioPeripheral(Module):
         self._obs_tracer = obs.tracer
         self._m_reads = obs.metrics.counter(f"periph.{self.name}.reads")
         self._m_writes = obs.metrics.counter(f"periph.{self.name}.writes")
+
+    def dmi_windows(self) -> Tuple[DmiWindow, ...]:
+        """The storage this peripheral grants the CPU direct access to."""
+        return ()
 
     @property
     def bottom_tag(self) -> int:
@@ -68,6 +103,10 @@ class MmioPeripheral(Module):
             if trans.tags is not None:
                 trans.tags[:] = bytes([tag]) * length
         elif command == WRITE:
+            for start, n in self.write_buffers:
+                if start <= offset < start + n < offset + length:
+                    trans.response = ADDRESS_ERROR
+                    return delay
             self.write_bytes(offset, bytes(trans.data),
                              bytes(trans.tags) if trans.tags is not None
                              else None)

@@ -21,6 +21,9 @@ Register map::
     0x10  RX_POP  (write) 1 = drop the head rx frame
     0x20  TX buffer (8 bytes, write)
     0x40  RX buffer (8 bytes, read: head frame)
+
+The TX buffer is the CPU's DMI write window: a write into it does
+nothing until ``TX_SEND`` runs the sink check.
 """
 
 from __future__ import annotations
@@ -29,9 +32,10 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from repro.dift.engine import DiftEngine
-from repro.state import decode_bytes, encode_bytes
+from repro.state import decode_bytes, encode_bytes, restore_bytes
 from repro.sysc.kernel import Kernel
-from repro.vp.peripherals.base import MmioPeripheral
+from repro.sysc.tlm import WRITE
+from repro.vp.peripherals.base import DmiWindow, MmioPeripheral
 
 STATUS = 0x00
 TX_LEN = 0x04
@@ -103,6 +107,8 @@ class CanBus:
 class CanController(MmioPeripheral):
     """Memory-mapped CAN controller with DIFT-checked TX."""
 
+    write_buffers = ((TX_BUF, MAX_FRAME),)
+
     def __init__(self, kernel: Kernel, name: str = "can0",
                  engine: Optional[DiftEngine] = None,
                  bus: Optional[CanBus] = None,
@@ -119,6 +125,9 @@ class CanController(MmioPeripheral):
         self._tx_sink = f"{name}.tx"  # checked per frame byte
         if bus is not None:
             bus.attach(name, self.receive)
+
+    def dmi_windows(self) -> Tuple[DmiWindow, ...]:
+        return (DmiWindow(TX_BUF, WRITE, self.tx_buf, self.tx_tags),)
 
     # ------------------------------------------------------------------ #
     # wire side
@@ -149,8 +158,8 @@ class CanController(MmioPeripheral):
         }
 
     def load_state_dict(self, state: dict) -> None:
-        self.tx_buf = bytearray(decode_bytes(state["tx_buf"]))
-        self.tx_tags = bytearray(decode_bytes(state["tx_tags"]))
+        restore_bytes(self.tx_buf, state["tx_buf"], self.name, "tx_buf")
+        restore_bytes(self.tx_tags, state["tx_tags"], self.name, "tx_tags")
         self.tx_len = state["tx_len"]
         self._rx = [CanFrame.from_state(f) for f in state["rx"]]
         self.sent = [CanFrame.from_state(f) for f in state["sent"]]

@@ -17,6 +17,9 @@ Register map::
 Matching the paper's Fig. 4: reading ``DATA_TAG`` returns the configured
 tag *as a value* classified non-confidential, and writing it re-configures
 the classification of future frames (Lines 43-47).
+
+The data frame is the CPU's DMI read window: reading it has no side
+effect, and software cannot write it.
 """
 
 from __future__ import annotations
@@ -25,10 +28,11 @@ import random
 from typing import Callable, Optional, Tuple
 
 from repro.dift.engine import DiftEngine
-from repro.state import decode_bytes, encode_bytes
+from repro.state import encode_bytes, restore_bytes
 from repro.sysc.kernel import Kernel
 from repro.sysc.time import SimTime
-from repro.vp.peripherals.base import MmioPeripheral
+from repro.sysc.tlm import READ
+from repro.vp.peripherals.base import DmiWindow, MmioPeripheral
 
 FRAME_SIZE = 64
 DATA_TAG = 0x80
@@ -54,6 +58,9 @@ class SimpleSensor(MmioPeripheral):
         self._raise_irq = raise_irq
         self._rng = random.Random(seed)
         self.sc_thread(self.run, "run")
+
+    def dmi_windows(self) -> Tuple[DmiWindow, ...]:
+        return (DmiWindow(0, READ, self.frame, self.frame_tags),)
 
     def run(self):
         """SystemC thread: refill the frame every period (Fig. 4 ``run``)."""
@@ -89,8 +96,9 @@ class SimpleSensor(MmioPeripheral):
         }
 
     def load_state_dict(self, state: dict) -> None:
-        self.frame = bytearray(decode_bytes(state["frame"]))
-        self.frame_tags = bytearray(decode_bytes(state["frame_tags"]))
+        restore_bytes(self.frame, state["frame"], self.name, "frame")
+        restore_bytes(self.frame_tags, state["frame_tags"], self.name,
+                      "frame_tags")
         self.data_tag = state["data_tag"]
         self.frame_no = state["frame_no"]
         self.period_us = state["period_us"]

@@ -240,14 +240,18 @@ class Platform:
 
         self.router.map_target(RAM_BASE, config.ram_size,
                                self.memory.tsock, "ram")
-        self.router.map_target(CLINT_BASE, 0x10, self.clint.tsock, "clint0")
-        self.router.map_target(PLIC_BASE, 0x0C, self.plic.tsock, "plic0")
-        self.router.map_target(UART_BASE, 0x10, self.uart.tsock, "uart0")
-        self.router.map_target(SENSOR_BASE, 0x90, self.sensor.tsock,
-                               "sensor0")
-        self.router.map_target(CAN_BASE, 0x48, self.can.tsock, "can0")
-        self.router.map_target(AES_BASE, 0x40, self.aes.tsock, "aes0")
-        self.router.map_target(DMA_BASE, 0x14, self.dma.tsock, "dma0")
+        for base, peripheral in ((CLINT_BASE, self.clint),
+                                 (PLIC_BASE, self.plic),
+                                 (UART_BASE, self.uart),
+                                 (SENSOR_BASE, self.sensor),
+                                 (CAN_BASE, self.can),
+                                 (AES_BASE, self.aes),
+                                 (DMA_BASE, self.dma)):
+            self.router.map_target(base, peripheral.size, peripheral.tsock,
+                                   peripheral.name)
+            for window in peripheral.dmi_windows():
+                self.cpu.attach_dmi(base + window.offset, window.command,
+                                    window.data, window.tags)
 
         self.program: Optional[Program] = None
         self.stop_reason = ""

@@ -2,9 +2,13 @@
 
 import pytest
 
+from repro.asm import assemble
 from repro.dift.engine import RECORD, DiftEngine
 from repro.policy import SecurityPolicy, builders
+from repro.state import decode_bytes
 from repro.sysc import GenericPayload, Kernel, SimTime
+from repro.vp.config import PlatformConfig
+from repro.vp.csr import CAUSE_STORE_FAULT
 from repro.vp.peripherals import aes as aes_regs
 from repro.vp.peripherals.aes import AesAccelerator
 from repro.vp.peripherals.aes_core import encrypt_block, expand_key
@@ -20,6 +24,7 @@ from repro.vp.peripherals.can import (
     CanController,
     CanFrame,
 )
+from repro.vp.platform import AES_BASE, CAN_BASE, Platform
 
 LC, HC = builders.LC, builders.HC
 
@@ -220,3 +225,63 @@ class TestCan:
                             raise_irq=lambda: raised.append(1))
         can.receive(CanFrame(b"\x01", b"\x00"))
         assert raised
+
+
+STRADDLE_GUEST = """
+    la t0, handler
+    csrw mtvec, t0
+    li t0, {address}
+    li t1, 0x44332211
+    sw t1, 0(t0)
+    li a0, 0
+    li a7, 93
+    ecall
+handler:
+    csrr a0, mcause
+    csrr a1, mtval
+    li a7, 93
+    ecall
+"""
+
+
+class TestStraddlingWrites:
+    """A word store that starts in a peripheral buffer and runs past its
+    end is a store access fault, and no byte of it lands."""
+
+    @staticmethod
+    def _run(address, dift, setup):
+        policy = SecurityPolicy(builders.ifp1(), default_class=LC) \
+            if dift else None
+        platform = Platform.from_config(PlatformConfig(policy=policy))
+        platform.load(assemble(STRADDLE_GUEST.format(address=address)))
+        setup(platform)
+        result = platform.run(max_instructions=100)
+        assert result.reason == "halt"
+        assert result.exit_code == CAUSE_STORE_FAULT
+        assert platform.cpu.regs[11] == address   # mtval
+        return platform
+
+    @pytest.mark.parametrize("dift", [False, True], ids=["vp", "vpp"])
+    @pytest.mark.parametrize("register", [aes_regs.KEY, aes_regs.INPUT],
+                             ids=["key", "input"])
+    def test_aes_buffer_end(self, dift, register):
+        def fill(platform):
+            platform.aes.key[:] = bytes(range(16))
+            platform.aes.input[:] = bytes(range(16, 32))
+
+        platform = self._run(AES_BASE + register + 14, dift, fill)
+        aes = platform.aes
+        assert (aes.key, aes.input) == (bytes(range(16)),
+                                        bytes(range(16, 32)))
+        assert (aes.key_tags, aes.input_tags) == (bytes(16), bytes(16))
+
+    @pytest.mark.parametrize("dift", [False, True], ids=["vp", "vpp"])
+    def test_can_tx_buffer_end(self, dift):
+        def fill(platform):
+            platform.can.tx_buf[:] = bytes(range(1, 9))
+
+        platform = self._run(CAN_BASE + TX_BUF + 6, dift, fill)
+        assert platform.can.tx_buf == bytes(range(1, 9))
+        assert platform.can.tx_tags == bytes(8)
+        snapshot = platform.can.state_dict()
+        assert len(decode_bytes(snapshot["tx_buf"])) == 8

@@ -31,6 +31,14 @@ class TestReplayEquivalence:
         assert comparison.equivalent, comparison.mismatches
         assert comparison.paused_at >= PAUSE_AT
 
+    @pytest.mark.parametrize("mode", REPLAY_MODES)
+    def test_sensor_workload_replays_identically(self, mode):
+        # simple-sensor reads its frames through the CPU's DMI window, so
+        # a restore must refill the granted buffer in place
+        comparison = verify_replay("simple-sensor", mode, pause_at=PAUSE_AT,
+                                   max_instructions=BUDGET)
+        assert comparison.equivalent, comparison.mismatches
+
     def test_workload_with_externals_replays_identically(self):
         # immo-fixed carries an external ECU model (its own RNG stream
         # and CAN traffic) through the snapshot

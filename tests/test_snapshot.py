@@ -231,3 +231,51 @@ class TestPlatformRoundTrip:
             "quick", False, obs=Observability())
         with pytest.raises(SnapshotError, match="instrumentation"):
             plain.restore_snapshot(dift_doc)
+
+
+#: every peripheral byte buffer a snapshot carries: (module, field, length)
+PERIPHERAL_BUFFERS = [
+    ("sensor0", "frame", 64), ("sensor0", "frame_tags", 64),
+    ("aes0", "key", 16), ("aes0", "key_tags", 16), ("aes0", "input", 16),
+    ("aes0", "input_tags", 16), ("aes0", "output", 16),
+    ("can0", "tx_buf", 8), ("can0", "tx_tags", 8),
+]
+
+
+class TestPeripheralBuffers:
+    """Peripheral buffers restore in place and at their exact length:
+    the CPU holds DMI windows on some of them for the platform's life."""
+
+    @pytest.mark.parametrize("module, field, length", PERIPHERAL_BUFFERS)
+    @pytest.mark.parametrize("delta", [-1, 2])
+    def test_wrong_length_rejected(self, module, field, length, delta):
+        platform = Platform(PlatformConfig(ram_size=4096))
+        doc = platform.snapshot_document()
+        doc["modules"][module][field] = state.encode_bytes(
+            bytes(length + delta))
+        with pytest.raises(SnapshotError,
+                           match=rf"{module}\.{field}: snapshot holds "
+                                 rf"{length + delta} bytes, expected "
+                                 rf"{length}"):
+            Platform(PlatformConfig(ram_size=4096)).restore_snapshot(doc)
+
+    @pytest.mark.parametrize("module, field, length", PERIPHERAL_BUFFERS)
+    def test_restored_in_place(self, module, field, length):
+        attr = {"sensor0": "sensor", "aes0": "aes", "can0": "can"}[module]
+        platform = Platform(PlatformConfig(ram_size=4096))
+        doc = platform.snapshot_document()
+        content = bytes(range(1, length + 1))
+        doc["modules"][module][field] = state.encode_bytes(content)
+        buffer = getattr(getattr(platform, attr), field)
+        platform.restore_snapshot(doc)
+        assert getattr(getattr(platform, attr), field) is buffer
+        assert buffer == content
+
+    def test_aes_output_tags_follow_output_tag(self):
+        platform = Platform(PlatformConfig(
+            policy=benchmark_policy(), ram_size=4096))
+        doc = platform.snapshot_document()
+        doc["modules"]["aes0"]["output_tag"] = 2
+        platform.restore_snapshot(doc)
+        assert platform.aes.output_tags == bytes([2]) * 16
+        assert platform.snapshot_document() == doc
