@@ -31,6 +31,9 @@ from repro.sysc.time import SimTime
 
 #: Defaults mirrored from the historical ``Platform.__init__`` signature.
 DEFAULT_RAM_SIZE = 4 * 1024 * 1024
+#: Largest ``ram_size``: RAM starts at address 0 and must end at or below
+#: the CLINT at ``0x0200_0000``.
+MAX_RAM_SIZE = 0x0200_0000
 DEFAULT_QUANTUM = 8192
 DEFAULT_SEED = 0x5EED
 

@@ -44,7 +44,7 @@ from repro.sysc.kernel import Kernel
 from repro.sysc.time import SimTime
 from repro.sysc.tlm import Router
 from repro.vp import cpu as cpu_mod
-from repro.vp.config import PlatformConfig
+from repro.vp.config import MAX_RAM_SIZE, PlatformConfig
 from repro.vp.cpu import Cpu
 from repro.vp.jit import DEFAULT_THRESHOLD, JitEngine
 from repro.vp.loader import load_program
@@ -137,6 +137,10 @@ class Platform:
             # the ISS maps RAM and its tag shadow as 32-bit words
             raise ValueError(f"ram_size must be a positive multiple of 4 "
                              f"bytes, got {ram_size!r}")
+        if ram_size > MAX_RAM_SIZE:
+            raise ValueError(f"ram_size {ram_size:#x} does not fit below the "
+                             f"CLINT at {CLINT_BASE:#010x} (at most "
+                             f"{MAX_RAM_SIZE:#x} bytes)")
 
         self.kernel = Kernel()
         self.engine: Optional[DiftEngine] = (
@@ -757,7 +761,11 @@ class Platform:
                 f"{', '.join(cpu_mod.DIFT_MODES)})")
         config = PlatformConfig.from_json(document["config"], obs=obs,
                                           jit=jit)
-        platform = cls(config)
+        try:
+            platform = cls(config)
+        except ValueError as err:
+            raise SnapshotError(
+                f"snapshot config is rejected: {err}") from err
         if externals is not None:
             externals(platform)
         platform.restore_snapshot(document, program=program)

@@ -353,6 +353,25 @@ class TestSnapshotCli:
         with pytest.raises(SnapshotError, match="'decoupled'"):
             Platform.restore(document)
 
+    @pytest.mark.parametrize("ram_size", [6, 64 * 1024 * 1024,
+                                          8 * 1024 ** 3])
+    def test_resume_rejects_unmappable_ram_size(self, tmp_path, capsys,
+                                                ram_size):
+        """A snapshot config the platform cannot build is a snapshot
+        error, exit 2, raised before RAM is allocated."""
+        snap = tmp_path / "snap.json"
+        assert main(["snapshot", "save", "--workload", "qsort",
+                     "-o", str(snap)]) == 0
+        capsys.readouterr()
+        document = json.loads(snap.read_text())
+        document["config"]["ram_size"] = ram_size
+        snap.write_text(json.dumps(document))
+        assert main(["snapshot", "resume", str(snap),
+                     "--workload", "qsort"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: snapshot config is rejected: "
+                              "ram_size")
+
     def test_save_requires_exactly_one_input(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["snapshot", "save", "-o", str(tmp_path / "x.json")])

@@ -4,17 +4,20 @@ Every scenario runs once under inline full DIFT while recording its
 ``repro.dift.events/1`` stream, then replays the stream offline with
 :func:`reanalyze_stream`.  The replay must end in exactly the live
 run's DIFT state: the same violation records (trap PCs included),
-register tags, CSR tag values and RAM shadow digest.  The scenarios
+register tags, CSR tag values and RAM tag image.  The scenarios
 cover the immobilizer case study, the applicable Wilander–Kamkar
 attacks, the Table II workloads and the committed attack corpus.
 The Table II workloads also check that recording is invisible: a
 recording run ends in the same architectural and tag state as an
 inline full run that records nothing.  Crafted streams check that a
 packet outside RAM or a header with a bad RAM geometry is rejected
-with an exact error, and with exit 2 from ``repro reanalyze``.
+with an exact error, and with exit 2 from ``repro reanalyze``, as is
+a packet tag outside the recorded lattice or a header policy that does
+not parse.
 """
 
 import hashlib
+import mmap
 import os
 import re
 from dataclasses import replace
@@ -30,8 +33,11 @@ from repro.dift.engine import RECORD
 from repro.dift.events import (
     EV_END,
     EV_LOAD,
+    EV_MMIO_LOAD,
+    EV_SINK,
     EV_STEP,
     EV_STORE,
+    EV_TAINT,
     EV_TAINT_FILL,
     EventWriter,
     StreamError,
@@ -40,12 +46,11 @@ from repro.dift.events import (
     make_header,
 )
 from repro.dift.monitor import reanalyze_stream
-from repro.dift.shadow import shadow_digest
 from repro.gen.corpus import corpus_files, load_case
 from repro.policy import SecurityPolicy, builders
 from repro.sw import immobilizer as immo_sw
 from repro.sw import runtime, wk_suite
-from repro.vp.config import PlatformConfig
+from repro.vp.config import MAX_RAM_SIZE, PlatformConfig
 from repro.vp.platform import Platform
 
 #: instruction budgets of the recorded runs
@@ -67,8 +72,7 @@ def _live_tag_state(platform, result):
         "violations": _violations(result.violations),
         "reg_tags": tuple(platform.cpu.tags),
         "csr_tags": tuple(platform.cpu.csr.tag_values()),
-        "shadow_digest": shadow_digest(platform.memory.tags,
-                                       platform.engine.default_tag),
+        "tag_image": bytes(platform.memory.tags),
     }
 
 
@@ -82,7 +86,7 @@ def _assert_reanalysis_matches(platform, result, path, what):
         "violations": _violations(offline.violations),
         "reg_tags": tuple(monitor.reg_tags),
         "csr_tags": tuple(monitor.csr_tag_values()),
-        "shadow_digest": monitor.shadow_digest(),
+        "tag_image": monitor.tag_image(),
     }
     for key in live:
         assert replayed[key] == live[key], \
@@ -276,10 +280,6 @@ class TestReanalysis:
         image = offline.monitor.tag_image()
         assert (hashlib.sha256(image).hexdigest()
                 == hashlib.sha256(bytes(platform.memory.tags)).hexdigest())
-        # same comparison without materializing either store flat: the
-        # canonical digest walks the offline shadow's materialized pages
-        assert offline.monitor.shadow_digest() == shadow_digest(
-            platform.memory.tags, platform.engine.default_tag)
 
     def test_second_policy_without_rerunning_guest(self, tmp_path):
         """The headline feature: evaluate a *different* policy against a
@@ -387,13 +387,16 @@ def test_out_of_ram_packets_rejected(event, message, tmp_path, capsys):
     (6, _RAM_BASE, "ram_size"),
     (0, _RAM_BASE, "ram_size"),
     ("4096", _RAM_BASE, "ram_size"),
+    (MAX_RAM_SIZE + 4, _RAM_BASE, "ram_size"),
+    (1 << 40, _RAM_BASE, "ram_size"),
     (_RAM_SIZE, "0", "ram_base"),
     (_RAM_SIZE, 2, "ram_base"),
 ])
 def test_bad_stream_geometry_rejected(ram_size, ram_base, field, tmp_path,
                                       capsys):
     """The header's RAM geometry obeys Platform's rule: ``ram_size`` a
-    positive int multiple of 4, ``ram_base`` a word-aligned int."""
+    positive int multiple of 4 no larger than ``MAX_RAM_SIZE``,
+    ``ram_base`` a word-aligned int."""
     path = str(tmp_path / "crafted.ev")
     header = _crafted_header(ram_base)
     header["config"]["ram_size"] = ram_size
@@ -405,3 +408,79 @@ def test_bad_stream_geometry_rejected(ram_size, ram_base, field, tmp_path,
     assert err.value.offset == 0
     assert main(["reanalyze", path]) == 2
     assert field in capsys.readouterr().err
+
+
+#: a tag no class of the crafted header's 4-class lattice owns
+_BAD_TAG = 200
+
+
+@pytest.mark.parametrize("event,message", [
+    ((EV_MMIO_LOAD, _PC, _LW, 0x1000_0000, _BAD_TAG),
+     "mmio-load packet carries tag 200, outside the recorded lattice's "
+     "tags 0..3"),
+    ((EV_TAINT_FILL, 0, 4, _BAD_TAG),
+     "taint-fill packet carries tag 200, outside"),
+    ((EV_TAINT, 0, bytes([1, _BAD_TAG, 2])),
+     "taint packet carries tag 200, outside"),
+    ((EV_SINK, "uart0.tx", _BAD_TAG, 0, "tx", _PC),
+     "sink packet carries tag 200, outside"),
+    ((EV_SINK, "uart0.tx", 0, _BAD_TAG, "tx", _PC),
+     "sink packet carries required class 200, outside"),
+], ids=["mmio-load-tag", "taint-fill-tag", "taint-bytes", "sink-tag",
+        "sink-required"])
+def test_out_of_lattice_tags_rejected(event, message, tmp_path, capsys):
+    path = str(tmp_path / "crafted.ev")
+    writer = EventWriter(path, _crafted_header())
+    writer.write_many([(EV_STEP, _PC - 4, _NOP), event])
+    writer.close()
+    with pytest.raises(ValueError, match=re.escape(message)):
+        reanalyze_stream(path)
+    assert main(["reanalyze", path]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("policy", [
+    5,
+    {"ifp": "ifp3", "default_class": "(MC,MI)"},
+], ids=["not-a-dict", "unknown-default-class"])
+def test_unparsable_header_policy_rejected(policy, tmp_path, capsys):
+    path = str(tmp_path / "crafted.ev")
+    header = _crafted_header()
+    header["config"]["policy"] = policy
+    with open(path, "wb") as handle:
+        handle.write(encode_header(header))
+        handle.write(encode_event((EV_END, 0)))
+    with pytest.raises(StreamError, match=r"config\.policy") as err:
+        reanalyze_stream(path)
+    assert err.value.offset == 0
+    assert main(["reanalyze", path]) == 2
+    assert "config.policy" in capsys.readouterr().err
+
+
+def _resident_bytes():
+    with open("/proc/self/statm") as handle:
+        return int(handle.read().split()[1]) * mmap.PAGESIZE
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                    reason="reads the resident set from /proc/self/statm")
+def test_largest_ram_replay_commits_only_touched_pages(tmp_path):
+    """With a bottom fill the RAM tag shadow's mapping starts untouched:
+    a three-packet replay against the largest RAM commits the pages it
+    touches, where a ``bytearray`` shadow would add 32 MiB."""
+    policy = SecurityPolicy(builders.ifp1(), default_class=builders.LC)
+    header = make_header(PlatformConfig(policy=policy,
+                                        ram_size=MAX_RAM_SIZE),
+                         extra={"ram_base": 0})
+    path = str(tmp_path / "crafted.ev")
+    writer = EventWriter(path, header)
+    writer.write_many([(EV_STEP, 0x100, _NOP),
+                       (EV_STORE, 0x104, _SW, MAX_RAM_SIZE - 4),
+                       (EV_LOAD, 0x108, _LW, MAX_RAM_SIZE - 4)])
+    writer.close()
+    reanalyze_stream(path)  # imports and first-call allocations
+    before = _resident_bytes()
+    offline = reanalyze_stream(path)
+    grown = _resident_bytes() - before
+    assert offline.monitor.events_consumed == 3
+    assert grown < 1 << 20, f"replay grew the resident set by {grown} bytes"

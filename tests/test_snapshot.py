@@ -9,7 +9,7 @@ import pytest
 from repro import state
 from repro.bench.workloads import benchmark_policy, get_workload
 from repro.dift.engine import RECORD
-from repro.dift.shadow import PAGE_SIZE
+from repro.dift.liveness import PAGE_SIZE
 from repro.obs import Observability
 from repro.state import SnapshotError
 from repro.sysc.time import SimTime

@@ -7,9 +7,9 @@ every word access, so these tests drive both paths on purpose: every
 offset of a clean, a uniformly tagged and a mixed tag word, under each
 execution strategy, against byte-level expectations and inline full.
 
-The offline monitor mirrors the same split over its paged shadow (tag
-words for fetch clearance and aligned ``lw``/``sw``, bytes otherwise,
-and a byte path across 4 KiB page boundaries), so every guest here is
+The offline monitor mirrors the same split over its own flat shadow
+(tag words for fetch clearance and aligned ``lw``/``sw``, bytes
+otherwise, across 4 KiB page boundaries too), so every guest here is
 also recorded and replayed: the replay must end in the live run's
 violations, register tags and dense tag image.
 """
@@ -26,7 +26,7 @@ from repro.dift.monitor import reanalyze_stream
 from repro.errors import BusError
 from repro.policy import SecurityPolicy, builders
 from repro.sw import runtime
-from repro.vp.config import PlatformConfig
+from repro.vp.config import MAX_RAM_SIZE, PlatformConfig
 from repro.vp.platform import Platform
 
 BOTTOM = builders.LC_HI
@@ -352,6 +352,9 @@ def test_page_straddling_accesses(tmp_path):
     (6, "little", "ram_size"),
     (4098, "little", "ram_size"),
     (-4, "little", "ram_size"),
+    (MAX_RAM_SIZE + 4, "little", "ram_size"),
+    (64 * 1024 * 1024, "little", "ram_size"),
+    (8 * 1024 ** 3, "little", "ram_size"),
     (64 * 1024, "big", "sys.byteorder"),
 ])
 def test_unmappable_ram_is_rejected_at_construction(monkeypatch, ram_size,
