@@ -87,6 +87,11 @@ class DiftEngine:
         self.flow = self.lattice.flow_table
         self.default_tag: Tag = policy.default_tag()
         self.bottom_tag: Tag = self.lattice.tag_of(self.lattice.bottom)
+        #: tag each execution-clearance check requires (Section V-B2), or
+        #: ``None`` where the policy disables the check
+        self.fetch_req, self.branch_req, self.memaddr_req = (
+            None if cls is None else policy.tag_of(cls)
+            for __, cls in policy.execution.units())
         self.violations: List[ViolationRecord] = []
         #: number of clearance checks performed (all kinds)
         self.checks_performed = 0

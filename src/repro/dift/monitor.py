@@ -6,14 +6,15 @@ instruction-event FIFO.  :class:`DiftMonitor` is that consumer for
 recorded ``repro.dift.events/1`` streams: it replays tag propagation and
 the three execution-clearance checks of paper Section V-B2 against its
 own shadow state, byte-for-byte the semantics of the inline
-``Cpu._interp_dift`` loop that recorded the stream.
+``Cpu._interp_dift`` loop that recorded the stream: :meth:`~DiftMonitor.
+consume` is a template compiled at import from the same tag-rule table
+in :mod:`repro.vp.decode`, with the same helper.
 
-Its tag state has the live machine's form: register tags, a
-:class:`~repro.vp.csr.CsrFile` for the CSR tags, and one flat RAM tag
-shadow ``ram_tags`` with its 32-bit view ``tags32``.  The shadow is an
-anonymous memory mapping, so the OS commits a page only when the replay
-touches it.  Fetch clearance and aligned ``lw``/``sw`` read or write one
-tag word, as the ISS does; sub-word and misaligned accesses take bytes.
+Its tag state has the live machine's form and local names: register
+tags, a :class:`~repro.vp.csr.CsrFile` for the CSR tags, and one flat RAM
+tag shadow ``ram_tags`` with its 32-bit view ``tags32``.  The shadow is
+an anonymous memory mapping, so the OS commits a page only when the
+replay touches it.
 
 :func:`reanalyze_stream` drives it against the recorded policy or any
 policy sharing its class numbering, without re-running the guest.
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import mmap
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.dift.engine import RECORD, DiftEngine, ViolationRecord
 from repro.dift.events import (
@@ -31,6 +32,7 @@ from repro.dift.events import (
     EV_LOAD,
     EV_MMIO_LOAD,
     EV_SINK,
+    EV_STEP,
     EV_STORE,
     EV_TAINT,
     EV_TAINT_FILL,
@@ -50,6 +52,11 @@ from repro.vp.csr import CsrFile
 #: bytes each load/store opcode moves
 _WIDTH = {D.LB: 1, D.LBU: 1, D.SB: 1, D.LH: 2, D.LHU: 2, D.SH: 2,
           D.LW: 4, D.SW: 4}
+
+#: the template's tag-rule placeholders; specialize() replaces each
+#: before compiling, so these bindings are never read
+_RD_TAG = _CHECK_TAG = _TRAP_TAG = _LOAD_TAG = _WORD_TAG = None
+_EPC_TAG = _STORE_TAG = _STORE_WORD = None
 
 
 class DiftMonitor:
@@ -95,17 +102,9 @@ class DiftMonitor:
         self._cache: Dict[int, D.Decoded] = {}
         self.events_consumed = 0
         self.stopped = False
-        execution = engine.policy.execution
-        self._fetch_req: Optional[int] = None
-        self._branch_req: Optional[int] = None
-        self._memaddr_req: Optional[int] = None
-        if execution.fetch is not None:
-            self._fetch_req = engine.policy.tag_of(execution.fetch)
-        if execution.branch is not None:
-            self._branch_req = engine.policy.tag_of(execution.branch)
-        if execution.mem_addr is not None:
-            self._memaddr_req = engine.policy.tag_of(execution.mem_addr)
 
+    # a template: specialize() compiles it again at import with its
+    # placeholders expanded over the ISS loop's local names
     def consume(self, events) -> int:
         """Apply ``events`` in order; returns the number applied.
 
@@ -113,7 +112,10 @@ class DiftMonitor:
         recording run did.  A ``load``/``store`` packet addressed outside
         RAM, an instruction whose fetch clearance would read outside RAM,
         a taint packet writing outside RAM and a packet carrying a tag
-        outside the lattice raise ``ValueError``.
+        outside the lattice raise ``ValueError``, and so does a ``step``
+        packet carrying a load or store opcode except as the stream's last
+        instruction packet (a refused fetch): that replay ends after the
+        access's fetch and address checks.
         """
         engine = self.engine
         lub = engine.lub
@@ -131,47 +133,49 @@ class DiftMonitor:
         width = _WIDTH
         ram_base = self.ram_base
         ram_size = self.ram_size
-        fetch_req = self._fetch_req
-        branch_req = self._branch_req
-        memaddr_req = self._memaddr_req
+        fetch_req = engine.fetch_req
+        branch_req = engine.branch_req
+        memaddr_req = engine.memaddr_req
         applied = 0
+        events = iter(events)
         for ev in events:
             applied += 1
-            t = ev[0]
-            if t > EV_FAULT_ACCESS:
-                if t == EV_TRAP:
+            kind = ev[0]
+            if kind > EV_FAULT_ACCESS:
+                if kind == EV_TRAP:
                     if branch_req is not None:
-                        htag = csr.tag(CSR.MTVEC)
-                        if not flow[htag][branch_req]:
-                            if not check_execution("branch", htag,
-                                                   branch_req, ev[1]):
-                                self.stopped = True
-                                break
-                    csr.set_tag(CSR.MEPC, bottom)
-                elif t == EV_TAINT_FILL:
+                        htag = _TRAP_TAG(csr)
+                        if not (flow[htag][branch_req] or check_execution(
+                                "branch", htag, branch_req, ev[1])):
+                            self.stopped = True
+                            break
+                    csr.set_tag(CSR.MEPC, _EPC_TAG(bottom))
+                elif kind == EV_TAINT_FILL:
                     __, o, n, tag = ev
-                    self._check_span(t, o, n)
+                    self._check_span(kind, o, n)
                     if tag >= n_tags:
-                        raise self._tag_error(t, "tag", tag)
+                        raise self._tag_error(kind, "tag", tag)
                     mtags[o:o + n] = bytes((tag,)) * n
-                elif t == EV_TAINT:
+                elif kind == EV_TAINT:
                     __, o, data = ev
-                    self._check_span(t, o, len(data))
+                    self._check_span(kind, o, len(data))
                     if data and max(data) >= n_tags:
-                        raise self._tag_error(t, "tag", max(data))
+                        raise self._tag_error(kind, "tag", max(data))
                     mtags[o:o + len(data)] = data
-                elif t == EV_SINK:
+                elif kind == EV_SINK:
                     __, unit, tag, required, context, pc = ev
                     if tag >= n_tags:
-                        raise self._tag_error(t, "tag", tag)
+                        raise self._tag_error(kind, "tag", tag)
                     if required >= n_tags:
-                        raise self._tag_error(t, "required class", required)
+                        raise self._tag_error(kind, "required class",
+                                              required)
                     if engine.policy.has_sink(unit):
                         engine.check_sink(unit, tag, context, pc)
                     else:
                         engine.check_flow(tag, required, unit, context, pc)
                 else:
-                    raise ValueError(f"monitor cannot apply event type {t}")
+                    raise ValueError(
+                        f"monitor cannot apply event type {kind}")
                 continue
 
             pc = ev[1]
@@ -179,20 +183,15 @@ class DiftMonitor:
                 off = pc - ram_base
                 if off < 0 or off >= ram_size or off & 3:
                     raise ValueError(
-                        f"{event_name(t)} packet at pc={pc:#010x} fetches "
-                        f"outside RAM {self._ram_span()}")
+                        f"{event_name(kind)} packet at pc={pc:#010x} "
+                        f"fetches outside RAM {self._ram_span()}")
                 tw = tags32[off >> 2]
                 if tw or not zero_is_bottom:
-                    # a uniform tag word is its own LUB; only a mixed
-                    # word folds its four bytes
-                    itag = tw & 0xFF
-                    if tw != itag * 0x01010101:
-                        itag = lub[lub[lub[itag][(tw >> 8) & 0xFF]]
-                                   [(tw >> 16) & 0xFF]][tw >> 24]
-                    if not flow[itag][fetch_req]:
-                        if not check_execution("fetch", itag, fetch_req, pc):
-                            self.stopped = True
-                            break
+                    itag = _WORD_TAG(tw, lub)
+                    if not (flow[itag][fetch_req] or check_execution(
+                            "fetch", itag, fetch_req, pc)):
+                        self.stopped = True
+                        break
 
             word = ev[2]
             d = cache.get(word)
@@ -200,106 +199,90 @@ class DiftMonitor:
                 d = cache[word] = decode(word)
             op = d[0]
 
-            if t >= EV_MMIO_LOAD:
-                if memaddr_req is not None:
-                    rtag = tags[d[2]]
-                    if not flow[rtag][memaddr_req]:
-                        if not check_execution("mem-addr", rtag,
-                                               memaddr_req, pc):
-                            self.stopped = True
-                            break
-                if t == EV_MMIO_LOAD:
-                    if ev[4] >= n_tags:
-                        raise self._tag_error(t, "tag", ev[4])
-                    if d[1]:
-                        tags[d[1]] = ev[4]
-
-            elif op <= D.BGEU:
-                if op >= D.BEQ:
-                    if branch_req is not None:
-                        ctag = lub[tags[d[2]]][tags[d[3]]]
-                        if not flow[ctag][branch_req]:
-                            if not check_execution("branch", ctag,
-                                                   branch_req, pc):
-                                self.stopped = True
-                                break
-                elif op == D.JALR:
-                    rtag = tags[d[2]]
-                    if branch_req is not None and not flow[rtag][branch_req]:
-                        if not check_execution("branch", rtag, branch_req,
-                                               pc):
-                            self.stopped = True
-                            break
-                    if d[1]:
-                        tags[d[1]] = bottom
-                elif d[1]:  # JAL / LUI / AUIPC
-                    tags[d[1]] = bottom
-
-            elif op <= D.SW:  # RAM load or store (MMIO handled above)
-                rtag = tags[d[2]]
-                if memaddr_req is not None and not flow[rtag][memaddr_req]:
-                    if not check_execution("mem-addr", rtag, memaddr_req,
-                                           pc):
+            if op <= D.BGEU:
+                if op >= D.JALR and branch_req is not None:
+                    ctag = _CHECK_TAG(D.JALR, D.BGEU, op, tags, d, lub)
+                    if not (flow[ctag][branch_req] or check_execution(
+                            "branch", ctag, branch_req, pc)):
                         self.stopped = True
                         break
+                if op <= D.JALR and d[1]:
+                    tags[d[1]] = _RD_TAG(D.LUI, D.JALR, bottom)
+
+            elif op <= D.SW:  # loads and stores, RAM or MMIO
+                if memaddr_req is not None:
+                    atag = _CHECK_TAG(D.LB, D.SW, tags, d)
+                    if not (flow[atag][memaddr_req] or check_execution(
+                            "mem-addr", atag, memaddr_req, pc)):
+                        self.stopped = True
+                        break
+                if kind >= EV_MMIO_LOAD:
+                    # an MMIO load takes its payload tag; an MMIO store
+                    # and a faulted load have no tag effects
+                    if kind == EV_MMIO_LOAD:
+                        if ev[4] >= n_tags:
+                            raise self._tag_error(kind, "tag", ev[4])
+                        if d[1]:
+                            tags[d[1]] = ev[4]
+                    continue
                 is_load = op <= D.LHU
-                if t != (EV_LOAD if is_load else EV_STORE):
-                    raise ValueError(
-                        f"{event_name(t)} packet at pc={pc:#010x} carries "
-                        f"a {'load' if is_load else 'store'} opcode")
+                if kind != (EV_LOAD if is_load else EV_STORE):
+                    if kind != EV_STEP or any(
+                            later[0] <= EV_FAULT_ACCESS for later in events):
+                        raise ValueError(
+                            f"{event_name(kind)} packet at pc={pc:#010x} "
+                            f"carries a {'load' if is_load else 'store'} "
+                            "opcode")
+                    break  # a refused access never chose its address
                 n = width[op]
                 o = ev[3] - ram_base
                 if o < 0 or o + n > ram_size:
                     raise ValueError(
-                        f"{event_name(t)} packet at pc={pc:#010x} addresses "
-                        f"{ev[3]:#010x}, outside RAM {self._ram_span()}")
+                        f"{event_name(kind)} packet at pc={pc:#010x} "
+                        f"addresses {ev[3]:#010x}, outside RAM "
+                        f"{self._ram_span()}")
                 if is_load:
                     if n == 4 and not o & 3:
                         tw = tags32[o >> 2]
-                        tag = tw & 0xFF
-                        if tw != tag * 0x01010101:
-                            tag = lub[lub[lub[tag][(tw >> 8) & 0xFF]]
-                                      [(tw >> 16) & 0xFF]][tw >> 24]
+                        t = _WORD_TAG(tw, lub)
                     elif n == 1:
-                        tag = mtags[o]
+                        t = _LOAD_TAG(1, mtags, o)
                     elif n == 2:
-                        tag = lub[mtags[o]][mtags[o + 1]]
+                        t = _LOAD_TAG(2, mtags, o, lub)
                     else:  # misaligned word
-                        tag = lub[lub[lub[mtags[o]][mtags[o + 1]]]
-                                  [mtags[o + 2]]][mtags[o + 3]]
+                        t = _LOAD_TAG(4, mtags, o, lub)
                     if d[1]:
-                        tags[d[1]] = tag
+                        tags[d[1]] = t
                 else:
-                    tag = tags[d[3]]
+                    t = _STORE_TAG(tags, d)
                     if n == 4 and not o & 3:
-                        tags32[o >> 2] = tag * 0x01010101
+                        tags32[o >> 2] = _STORE_WORD(t)
                     else:
-                        mtags[o] = tag
+                        mtags[o] = t
                         if n > 1:
-                            mtags[o + 1] = tag
+                            mtags[o + 1] = t
                             if n == 4:
-                                mtags[o + 2] = tag
-                                mtags[o + 3] = tag
+                                mtags[o + 2] = t
+                                mtags[o + 3] = t
 
-            elif op <= D.SRAI:  # immediate ALU + shifts: copy rs1 tag
+            elif op <= D.SRAI:  # immediate ALU + shifts
                 if d[1]:
-                    tags[d[1]] = tags[d[2]]
+                    tags[d[1]] = _RD_TAG(D.ADDI, D.SRAI, tags, d)
 
-            elif op <= D.REMU:  # register ALU + M extension: LUB
+            elif op <= D.REMU:  # register ALU + M extension
                 if d[1]:
-                    tags[d[1]] = lub[tags[d[2]]][tags[d[3]]]
+                    tags[d[1]] = _RD_TAG(D.ADD, D.REMU, tags, d, lub)
 
             elif op == D.MRET:
                 if branch_req is not None:
-                    etag = csr.tag(CSR.MEPC)
-                    if not flow[etag][branch_req]:
-                        if not check_execution("branch", etag, branch_req,
-                                               pc):
-                            self.stopped = True
-                            break
+                    etag = _CHECK_TAG(D.MRET, csr)
+                    if not (flow[etag][branch_req] or check_execution(
+                            "branch", etag, branch_req, pc)):
+                        self.stopped = True
+                        break
 
             elif D.CSRRW <= op <= D.CSRRCI:
-                self._apply_csr(d)
+                csr.retire_tags(d, tags, lub)
 
             # FENCE / ECALL / EBREAK / WFI / ILLEGAL: no tag effects
         self.events_consumed += applied
@@ -308,30 +291,6 @@ class DiftMonitor:
     # ------------------------------------------------------------------ #
     # packet helpers (off the per-instruction path)
     # ------------------------------------------------------------------ #
-
-    def _apply_csr(self, d: D.Decoded) -> None:
-        """Mirror of ``Cpu._exec_csr`` tag bookkeeping."""
-        op, rd, rs1, __, csr_addr = d
-        csr = self.csr
-        if not csr.known(csr_addr):
-            return  # illegal-CSR fault: no tag effects
-        old_tag = csr.tag(csr_addr)
-        if op in (D.CSRRW, D.CSRRS, D.CSRRC):
-            src_tag = self.reg_tags[rs1]
-        else:
-            src_tag = self._bottom
-        if op in (D.CSRRW, D.CSRRWI):
-            new_tag = src_tag
-            write = True
-        else:
-            new_tag = self.engine.lub[old_tag][src_tag]
-            write = rs1 != 0
-        if write:
-            if not csr.writable(csr_addr):
-                return  # read-only: illegal-write fault, no tag effects
-            csr.set_tag(csr_addr, new_tag)
-        if rd:
-            self.reg_tags[rd] = old_tag
 
     def _ram_span(self) -> str:
         return (f"[{self.ram_base:#010x}, "
@@ -366,6 +325,9 @@ class DiftMonitor:
     def __repr__(self) -> str:
         return (f"DiftMonitor(consumed={self.events_consumed}, "
                 f"stopped={self.stopped})")
+
+
+D.specialize(DiftMonitor, "consume")
 
 
 # ---------------------------------------------------------------------- #

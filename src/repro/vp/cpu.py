@@ -17,20 +17,19 @@ Two execution loops are provided, compiled from one source:
 The quantum loop is written once, as the template ``Cpu._interp``: code
 only the VP+ runs sits under ``if _DIFT:``, code only the VP runs (demand
 mode's hand-over to the DIFT loop) under ``if not _DIFT:``.  At import,
-:func:`_specialize` compiles it twice, with ``_DIFT`` replaced by
-``False`` and by ``True``, into ``Cpu._interp_plain`` and
+:func:`repro.vp.decode.specialize` compiles it twice, with ``_DIFT``
+replaced by ``False`` and by ``True``, into ``Cpu._interp_plain`` and
 ``Cpu._interp_dift``.  CPython drops the dead branch of a constant test,
 so the plain loop holds no DIFT bytecode and no flag test: the VP pays
 for no DIFT hook, and the Table II overhead comparison stays honest.
 
-The template does not spell out what an ALU, shift or branch opcode
-computes.  The placeholders ``_TAKEN(op, a, b)``, ``_IMM_VALUE(op, a,
-i)``, ``_SHIFT_VALUE(op, a, i)`` and ``_REG_VALUE(op, a, b)`` stand for
-it, and :func:`_specialize` replaces each with a one-line conditional
-chain over the entries of
-:data:`repro.vp.decode.VALUE` and :data:`~repro.vp.decode.TAKEN`, the
-table the JIT's code generator emits from too.  Every expansion stays on
-its line, so both loops keep the template's file and line numbers:
+The template writes no opcode result and no tag rule.  Placeholders
+stand for them, written as calls on the opcodes they cover and the
+locals they read, such as ``_VALUE(D.ADDI, D.ANDI, op, a, i)`` and
+``_RD_TAG(D.ADD, D.AND, tags, d, lub)``.  Each is replaced by a one-line
+expansion of the tables in :mod:`repro.vp.decode` that the JIT and the
+offline monitor emit from too, so both loops keep the template's file
+and line numbers:
 tracebacks, coverage and ``inspect.getsource`` show the template's
 lines, while a profile lists ``_interp_plain`` and ``_interp_dift`` as
 two entries.
@@ -46,9 +45,7 @@ payloads carry per-byte tags on the DIFT platform.
 (``ram32``/``tags32``; native byte order, so the host must be
 little-endian).  Instruction fetch, the fetch clearance and aligned in-RAM
 ``lw``/``sw`` read or write one word of each view; misaligned ``lw``/``sw``
-and the sub-word accesses keep the byte path.  A tag word whose four bytes
-are equal is its own LUB, because LUB is idempotent, so only a mixed word
-folds its bytes.
+and the sub-word accesses keep the byte path.
 """
 
 from __future__ import annotations
@@ -116,11 +113,11 @@ DIFT_MODES = (DIFT_FULL, DIFT_DEMAND)
 
 _MASK32 = 0xFFFFFFFF
 
-#: the interpreter template's flag and expression placeholders;
-#: _specialize() replaces each before compiling, so these bindings are
-#: never read
+#: the templates' flag and table placeholders; specialize() replaces
+#: each before compiling, so these bindings are never read
 _DIFT = False
-_TAKEN = _IMM_VALUE = _SHIFT_VALUE = _REG_VALUE = None
+_VALUE = _TAKEN = _RD_TAG = _CHECK_TAG = _TRAP_TAG = _LOAD_TAG = None
+_EPC_TAG = _WORD_TAG = _STORE_TAG = _STORE_WORD = None
 
 
 class Cpu(Module):
@@ -176,19 +173,6 @@ class Cpu(Module):
         # via attach_dmi()
         self._dmi_reads: Dict[int, tuple] = {}
         self._dmi_writes: Dict[int, tuple] = {}
-
-        # execution clearance (tag values or None = check disabled)
-        self._fetch_req: Optional[int] = None
-        self._branch_req: Optional[int] = None
-        self._memaddr_req: Optional[int] = None
-        if dift is not None:
-            execution = dift.policy.execution
-            if execution.fetch is not None:
-                self._fetch_req = dift.policy.tag_of(execution.fetch)
-            if execution.branch is not None:
-                self._branch_req = dift.policy.tag_of(execution.branch)
-            if execution.mem_addr is not None:
-                self._memaddr_req = dift.policy.tag_of(execution.mem_addr)
 
         # demand-mode taint liveness; None in plain and full modes so the
         # existing loops stay hook-free
@@ -395,32 +379,36 @@ class Cpu(Module):
 
     def _trap(self, cause: int, tval: int) -> bool:
         """Enter a trap.  Returns False if the DIFT engine vetoed the entry
-        (record-mode violation on the handler address)."""
-        mtvec = self.csr[CSR.MTVEC]
+        (record-mode violation on the handler address).  A template: the
+        placeholders expand at import."""
+        csr = self.csr
+        bottom = self._bottom
+        mtvec = csr[CSR.MTVEC]
         if self._emitq is not None:
             self._emitq.append((EV_TRAP, self.pc, cause))
-        if self.dift is not None and self._branch_req is not None:
-            handler_tag = self.csr.tag(CSR.MTVEC)
-            if not self.dift.flow[handler_tag][self._branch_req]:
-                if not self.dift.check_execution(
-                        "branch", handler_tag, self._branch_req, self.pc):
+        dift = self.dift
+        if dift is not None and dift.branch_req is not None:
+            handler_tag = _TRAP_TAG(csr)
+            if not dift.flow[handler_tag][dift.branch_req]:
+                if not dift.check_execution(
+                        "branch", handler_tag, dift.branch_req, self.pc):
                     return False
-        self.csr[CSR.MEPC] = self.pc
-        self.csr[CSR.MCAUSE] = cause
-        self.csr[CSR.MTVAL] = tval
-        self.csr.set_tag(CSR.MEPC, self._bottom)
-        mstatus = self.csr[CSR.MSTATUS]
+        csr[CSR.MEPC] = self.pc
+        csr[CSR.MCAUSE] = cause
+        csr[CSR.MTVAL] = tval
+        csr.set_tag(CSR.MEPC, _EPC_TAG(bottom))
+        mstatus = csr[CSR.MSTATUS]
         mpie = CSR.MSTATUS_MPIE if mstatus & CSR.MSTATUS_MIE else 0
-        self.csr[CSR.MSTATUS] = mpie  # MIE cleared, MPIE = old MIE
+        csr[CSR.MSTATUS] = mpie  # MIE cleared, MPIE = old MIE
         self._update_irq()
         self.pc = mtvec
         return True
 
     def _fault(self, cause: int, tval: int) -> Optional[str]:
-        """Synchronous fault: trap if a handler is installed, else stop."""
+        """Synchronous fault: trap if a handler is installed, else stop;
+        a vetoed trap entry stops with :data:`SECURITY`."""
         if self.csr[CSR.MTVEC]:
-            self._trap(cause, tval)
-            return None
+            return None if self._trap(cause, tval) else SECURITY
         self.halted = True
         self.fault_info = (
             f"unhandled fault cause={cause} tval={tval:#010x} "
@@ -644,13 +632,12 @@ class Cpu(Module):
 
     # ---- the interpreter template ---------------------------------------- #
     #
-    # _specialize() compiles this into _interp_plain (_DIFT = False) and
+    # specialize() compiles this into _interp_plain (_DIFT = False) and
     # _interp_dift (_DIFT = True).  Keep every flag test bare -- `if
     # _DIFT:`, `if not _DIFT:`, `else:` -- so the compiler drops the dead
-    # branch: 3.9 keeps `if _DIFT and x:` as a run-time test.  The ALU,
-    # shift and branch placeholders are written as calls on the locals
-    # their expansion reads; a change to what those opcodes compute is an
-    # edit to the table in vp/decode.py.
+    # branch: 3.9 keeps `if _DIFT and x:` as a run-time test.  A change to
+    # what an opcode computes, or to a tag rule, is an edit to the tables
+    # in vp/decode.py.
 
     def _interp(self, n: int) -> Tuple[int, str]:
         regs = self.regs
@@ -681,9 +668,9 @@ class Cpu(Module):
             lub = dift.lub
             flow = dift.flow
             zero_is_bottom = bottom == 0
-            fetch_req = self._fetch_req
-            branch_req = self._branch_req
-            memaddr_req = self._memaddr_req
+            fetch_req = dift.fetch_req
+            branch_req = dift.branch_req
+            memaddr_req = dift.memaddr_req
             # event-stream recording (None on un-recorded runs)
             emitq = self._emitq
             dirty = live.dirty_pages if live is not None else None
@@ -738,12 +725,7 @@ class Cpu(Module):
                 if fetch_req is not None:
                     tw = tags32[off >> 2]
                     if tw or not zero_is_bottom:
-                        # a uniform tag word is its own LUB; only a mixed
-                        # word folds its four bytes
-                        itag = tw & 0xFF
-                        if tw != itag * 0x01010101:
-                            itag = lub[lub[lub[itag][mtags[off + 1]]]
-                                       [mtags[off + 2]]][mtags[off + 3]]
+                        itag = _WORD_TAG(tw, lub)
                         if not flow[itag][fetch_req]:
                             self.pc = pc
                             if not dift.check_execution("fetch", itag,
@@ -776,7 +758,7 @@ class Cpu(Module):
                     if _DIFT:
                         # --- branch-condition clearance (Section V-B2a) --- #
                         if branch_req is not None:
-                            ctag = lub[tags[d[2]]][tags[d[3]]]
+                            ctag = _CHECK_TAG(D.BEQ, D.BGEU, tags, d, lub)
                             if not flow[ctag][branch_req]:
                                 self.pc = pc
                                 if not dift.check_execution(
@@ -785,7 +767,7 @@ class Cpu(Module):
                                     break
                     a = regs[d[2]]
                     b = regs[d[3]]
-                    taken = _TAKEN(op, a, b)
+                    taken = _TAKEN(D.BEQ, D.BGEU, op, a, b)
                     if taken:
                         next_pc = (pc + d[4]) & _MASK32
                         if jhot is not None and d[4] < 0:
@@ -806,7 +788,7 @@ class Cpu(Module):
                     if d[1]:
                         regs[d[1]] = next_pc
                         if _DIFT:
-                            tags[d[1]] = bottom
+                            tags[d[1]] = _RD_TAG(D.JAL, bottom)
                     next_pc = (pc + d[4]) & _MASK32
                     # backward jumps are loop closers; linking jumps are
                     # calls — both name stable, re-visited entry points
@@ -825,18 +807,19 @@ class Cpu(Module):
                 elif op == D.JALR:
                     if _DIFT:
                         # --- indirect-jump target clearance --- #
-                        if branch_req is not None \
-                                and not flow[tags[d[2]]][branch_req]:
+                        if branch_req is not None and not flow[
+                                _CHECK_TAG(D.JALR, tags, d)][branch_req]:
                             self.pc = pc
                             if not dift.check_execution(
-                                    "branch", tags[d[2]], branch_req, pc):
+                                    "branch", _CHECK_TAG(D.JALR, tags, d),
+                                    branch_req, pc):
                                 reason = SECURITY
                                 break
                     target = (regs[d[2]] + d[4]) & 0xFFFFFFFE
                     if d[1]:
                         regs[d[1]] = next_pc
                         if _DIFT:
-                            tags[d[1]] = bottom
+                            tags[d[1]] = _RD_TAG(D.JALR, bottom)
                     next_pc = target
                     if jhot is not None and d[1]:
                         # indirect call: the target (a function entry)
@@ -856,23 +839,24 @@ class Cpu(Module):
                     if d[1]:
                         regs[d[1]] = d[4]
                         if _DIFT:
-                            tags[d[1]] = bottom
+                            tags[d[1]] = _RD_TAG(D.LUI, bottom)
                 else:  # AUIPC
                     if d[1]:
                         regs[d[1]] = (pc + d[4]) & _MASK32
                         if _DIFT:
-                            tags[d[1]] = bottom
+                            tags[d[1]] = _RD_TAG(D.AUIPC, bottom)
 
             elif op <= D.LHU:  # loads
                 addr = (regs[d[2]] + d[4]) & _MASK32
                 size = 4 if op == D.LW else (2 if op in (D.LH, D.LHU) else 1)
                 if _DIFT:
                     # --- memory-address clearance (Section V-B2c) --- #
-                    if memaddr_req is not None \
-                            and not flow[tags[d[2]]][memaddr_req]:
+                    if memaddr_req is not None and not flow[
+                            _CHECK_TAG(D.LB, D.LHU, tags, d)][memaddr_req]:
                         self.pc = pc
                         if not dift.check_execution(
-                                "mem-addr", tags[d[2]], memaddr_req, pc):
+                                "mem-addr", _CHECK_TAG(D.LB, D.LHU, tags, d),
+                                memaddr_req, pc):
                             if emitq is not None:
                                 # the stopped load's packet; out of RAM a
                                 # placeholder with a bottom payload tag
@@ -893,36 +877,32 @@ class Cpu(Module):
                         if o & 3:
                             value = frombytes(ram[o:o + 4], "little")
                             if _DIFT:
-                                t = lub[lub[lub[mtags[o]][mtags[o + 1]]]
-                                        [mtags[o + 2]]][mtags[o + 3]]
+                                t = _LOAD_TAG(4, mtags, o, lub)
                         else:
                             value = ram32[o >> 2]
                             if _DIFT:
                                 tw = tags32[o >> 2]
-                                t = tw & 0xFF
-                                if tw != t * 0x01010101:
-                                    t = lub[lub[lub[t][mtags[o + 1]]]
-                                            [mtags[o + 2]]][mtags[o + 3]]
+                                t = _WORD_TAG(tw, lub)
                     elif op == D.LBU:
                         value = ram[o]
                         if _DIFT:
-                            t = mtags[o]
+                            t = _LOAD_TAG(1, mtags, o)
                     elif op == D.LB:
                         value = ram[o]
                         if value >= 0x80:
                             value += 0xFFFFFF00
                         if _DIFT:
-                            t = mtags[o]
+                            t = _LOAD_TAG(1, mtags, o)
                     elif op == D.LHU:
                         value = ram[o] | (ram[o + 1] << 8)
                         if _DIFT:
-                            t = lub[mtags[o]][mtags[o + 1]]
+                            t = _LOAD_TAG(2, mtags, o, lub)
                     else:  # LH
                         value = ram[o] | (ram[o + 1] << 8)
                         if value >= 0x8000:
                             value += 0xFFFF0000
                         if _DIFT:
-                            t = lub[mtags[o]][mtags[o + 1]]
+                            t = _LOAD_TAG(2, mtags, o, lub)
                 else:
                     self.pc = pc
                     try:
@@ -966,11 +946,12 @@ class Cpu(Module):
                 addr = (regs[d[2]] + d[4]) & _MASK32
                 size = 4 if op == D.SW else (1 if op == D.SB else 2)
                 if _DIFT:
-                    if memaddr_req is not None \
-                            and not flow[tags[d[2]]][memaddr_req]:
+                    if memaddr_req is not None and not flow[
+                            _CHECK_TAG(D.SB, D.SW, tags, d)][memaddr_req]:
                         self.pc = pc
                         if not dift.check_execution(
-                                "mem-addr", tags[d[2]], memaddr_req, pc):
+                                "mem-addr", _CHECK_TAG(D.SB, D.SW, tags, d),
+                                memaddr_req, pc):
                             if emitq is not None:
                                 emitq.append(
                                     (EV_STORE if ram_base <= addr
@@ -978,7 +959,7 @@ class Cpu(Module):
                                      else EV_MMIO_STORE, pc, word, addr))
                             reason = SECURITY
                             break
-                    t = tags[d[3]]
+                    t = _STORE_TAG(tags, d)
                 value = regs[d[3]]
                 if ram_base <= addr and addr + size <= ram_end:
                     if _DIFT:
@@ -996,7 +977,7 @@ class Cpu(Module):
                         else:
                             ram32[o >> 2] = value
                             if _DIFT:
-                                tags32[o >> 2] = t * 0x01010101
+                                tags32[o >> 2] = _STORE_WORD(t)
                     elif op == D.SB:
                         ram[o] = value & 0xFF
                         if _DIFT:
@@ -1046,36 +1027,36 @@ class Cpu(Module):
             elif op <= D.ANDI:  # immediate ALU
                 a = regs[d[2]]
                 i = d[4]
-                value = _IMM_VALUE(op, a, i)
+                value = _VALUE(D.ADDI, D.ANDI, op, a, i)
                 if d[1]:
                     regs[d[1]] = value
                     if _DIFT:
-                        tags[d[1]] = tags[d[2]]
+                        tags[d[1]] = _RD_TAG(D.ADDI, D.ANDI, tags, d)
 
             elif op <= D.SRAI:  # immediate shifts
                 a = regs[d[2]]
                 i = d[4]
-                value = _SHIFT_VALUE(op, a, i)
+                value = _VALUE(D.SLLI, D.SRAI, op, a, i)
                 if d[1]:
                     regs[d[1]] = value
                     if _DIFT:
-                        tags[d[1]] = tags[d[2]]
+                        tags[d[1]] = _RD_TAG(D.SLLI, D.SRAI, tags, d)
 
             elif op <= D.AND:  # register ALU
                 a = regs[d[2]]
                 b = regs[d[3]]
-                value = _REG_VALUE(op, a, b)
+                value = _VALUE(D.ADD, D.AND, op, a, b)
                 if d[1]:
                     regs[d[1]] = value
                     if _DIFT:
-                        tags[d[1]] = lub[tags[d[2]]][tags[d[3]]]
+                        tags[d[1]] = _RD_TAG(D.ADD, D.AND, tags, d, lub)
 
             elif op <= D.REMU:  # M extension
                 value = _muldiv(op, regs[d[2]], regs[d[3]])
                 if d[1]:
                     regs[d[1]] = value
                     if _DIFT:
-                        tags[d[1]] = lub[tags[d[2]]][tags[d[3]]]
+                        tags[d[1]] = _RD_TAG(D.MUL, D.REMU, tags, d, lub)
 
             elif op == D.FENCE:
                 pass
@@ -1109,7 +1090,7 @@ class Cpu(Module):
                 if _DIFT:
                     # --- return-address clearance: mepc is a jump target --- #
                     if branch_req is not None:
-                        epc_tag = csr.tag(CSR.MEPC)
+                        epc_tag = _CHECK_TAG(D.MRET, csr)
                         if not flow[epc_tag][branch_req]:
                             self.pc = pc
                             if not dift.check_execution(
@@ -1169,40 +1150,27 @@ class Cpu(Module):
             return self._fault(CSR.CAUSE_ILLEGAL, 0)
 
         old = csr.read(csr_addr)
-        old_tag = csr.tag(csr_addr)
-        if op in (D.CSRRW, D.CSRRS, D.CSRRC):
-            src = self.regs[rs1]
-            src_tag = self.tags[rs1]
-        else:
-            src = rs1  # zimm
-            src_tag = self._bottom
-
+        src = self.regs[rs1] if op <= D.CSRRC else rs1  # zimm
         write = True
         if op in (D.CSRRW, D.CSRRWI):
             new = src
-            new_tag = src_tag
         elif op in (D.CSRRS, D.CSRRSI):
             new = old | src
-            new_tag = src_tag if self.dift is None else \
-                self.dift.lub[old_tag][src_tag]
             write = rs1 != 0
         else:  # CSRRC / CSRRCI
             new = old & ~src
-            new_tag = src_tag if self.dift is None else \
-                self.dift.lub[old_tag][src_tag]
             write = rs1 != 0
 
         if write:
             if not csr.write(csr_addr, new):
                 self.pc = next_pc - 4
                 return self._fault(CSR.CAUSE_ILLEGAL, 0)
-            if self.dift is not None:
-                csr.set_tag(csr_addr, new_tag)
             if csr_addr in (CSR.MSTATUS, CSR.MIE, CSR.MIP):
                 self._update_irq()
+        if self.dift is not None:
+            csr.retire_tags(d, self.tags, self.dift.lub)
         if rd:
             self.regs[rd] = old
-            self.tags[rd] = old_tag
         self.pc = next_pc
         return None
 
@@ -1244,63 +1212,5 @@ def _muldiv(op: int, a: int, b: int) -> int:
     return a if b == 0 else a % b
 
 
-#: the template's expression placeholders, written as calls on the locals
-#: the expansion reads: each becomes a conditional chain over these
-#: opcodes' :data:`~repro.vp.decode.VALUE` or
-#: :data:`~repro.vp.decode.TAKEN` entries, tested in this order (most
-#: frequent first; the last is the chain's ``else``)
-_CHAINS = (
-    ("_TAKEN(op, a, b)", (D.BEQ, D.BNE, D.BLTU, D.BGEU, D.BLT, D.BGE)),
-    ("_IMM_VALUE(op, a, i)",
-     (D.ADDI, D.ANDI, D.ORI, D.XORI, D.SLTIU, D.SLTI)),
-    ("_SHIFT_VALUE(op, a, i)", (D.SLLI, D.SRLI, D.SRAI)),
-    ("_REG_VALUE(op, a, b)", (D.ADD, D.SUB, D.AND, D.OR, D.XOR, D.SLL,
-                              D.SRL, D.SRA, D.SLTU, D.SLT)),
-)
-
-
-def _chain(ops: Tuple[int, ...]) -> str:
-    """One line: ``(e1) if op == D.X1 else (e2) if ... else (en)``, with
-    the entries over the template's locals ``a``, ``b`` and ``i``."""
-    table = {**D.VALUE, **D.TAKEN}
-    names = {"a": "a", "b": "b", "i": "i",
-             "sa": f"({D.signed('a')})", "sb": f"({D.signed('b')})"}
-    *tested, last = ops
-    return "".join(
-        f"({D.expand(table[op], names)}) "
-        f"if op == D.{D.OP_NAMES[op].upper()} else " for op in tested
-    ) + f"({D.expand(table[last], names)})"
-
-
-def _specialize() -> None:
-    """Compile :meth:`Cpu._interp` into ``_interp_plain`` and ``_interp_dift``.
-
-    Each variant is the template's text with ``_DIFT`` replaced by a
-    literal and each :data:`_CHAINS` placeholder by its one-line chain,
-    compiled at the template's own line numbers in a ``class Cpu:``
-    header, so it keeps its own name, the qualified name ``Cpu.<name>``
-    and the template's file and lines.  The template is then removed: no
-    loop with a run-time flag exists.
-    """
-    first = Cpu._interp.__code__.co_firstlineno
-    with open(__file__, encoding="utf-8") as handle:
-        lines = handle.readlines()
-    # the method ends at the first non-blank line outside its body
-    last = first
-    while last < len(lines) and (lines[last].isspace()
-                                 or lines[last].startswith(" " * 8)):
-        last += 1
-    template = "".join(lines[first - 1:last])
-    chains = [(name, _chain(ops)) for name, ops in _CHAINS]
-    for name, flag in (("_interp_plain", "False"), ("_interp_dift", "True")):
-        text = template.replace("def _interp(", f"def {name}(", 1)
-        for placeholder, expr in [("_DIFT", flag)] + chains:
-            text = text.replace(placeholder, expr)
-        source = "\n" * (first - 2) + "class Cpu:\n" + text
-        namespace: dict = {}
-        exec(compile(source, __file__, "exec"), globals(), namespace)
-        setattr(Cpu, name, vars(namespace["Cpu"])[name])
-    del Cpu._interp
-
-
-_specialize()
+D.specialize(Cpu, "_interp", {"_interp_plain": False, "_interp_dift": True})
+D.specialize(Cpu, "_trap")

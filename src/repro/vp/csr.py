@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
+from repro.vp import decode as D
+
 # CSR addresses
 MSTATUS = 0x300
 MISA = 0x301
@@ -136,6 +138,24 @@ class CsrFile:
     def known(self, csr: int) -> bool:
         return csr in self._values or csr in (
             MCYCLE, MINSTRET, CYCLE, TIME, INSTRET)
+
+    def retire_tags(self, d: tuple, tags: list, lub) -> None:
+        """The tag rule of the decoded Zicsr instruction ``d``, for the ISS
+        and the offline monitor: the CSR takes the source tag (bottom for
+        an immediate) or, for set and clear, its LUB with the CSR's own;
+        rd takes the CSR's old tag.  A faulting instruction has none."""
+        op, rd, rs1, __, csr = d
+        if not self.known(csr):
+            return
+        old = self.tag(csr)
+        if op in (D.CSRRW, D.CSRRWI) or rs1:
+            if not self.writable(csr):
+                return
+            src = tags[rs1] if op <= D.CSRRC else self._bottom
+            self.set_tag(csr, src if op in (D.CSRRW, D.CSRRWI)
+                         else lub[old][src])
+        if rd:
+            tags[rd] = old
 
     # ------------------------------------------------------------------ #
     # checkpoint / restore

@@ -9,9 +9,11 @@ distinct instruction word; the executors dispatch on the dense ID with
 an if/elif ladder ordered by dynamic frequency.
 
 :data:`VALUE` and :data:`TAKEN` state what the ALU, shift and branch
-opcodes compute, once, as Python expressions.  The interpreter loops of
-:mod:`repro.vp.cpu` and the superblock code generator of
-:mod:`repro.vp.jit.codegen` both emit their code from them;
+opcodes compute, once, as Python expressions, and the tag-rule table
+beside them states the paper's propagation and clearance rules the same
+way.  The interpreter loops of :mod:`repro.vp.cpu`, the superblock code
+generator of :mod:`repro.vp.jit.codegen` and the offline monitor of
+:mod:`repro.dift.monitor` all emit their code from these tables;
 :mod:`repro.verify.reference` states the same semantics independently.
 
 The encoding knowledge here deliberately duplicates
@@ -21,6 +23,7 @@ the two against each other, which would be impossible if they shared code.
 
 from __future__ import annotations
 
+import inspect
 import re
 from typing import Dict, Tuple
 
@@ -102,57 +105,162 @@ Decoded = Tuple[int, int, int, int, int]
 # branch, as Python expressions over ``a``/``b`` (the unsigned 32-bit
 # rs1/rs2 values), ``sa``/``sb`` (their signed forms) and ``i`` (the
 # decoded immediate, or the shift amount).  Emitters substitute their
-# own operand text with :func:`expand`.
+# own operand text with :func:`expand`.  Within each group the entries
+# are listed in the order the interpreter tests them: most frequent
+# first.
 
 #: result of each ALU and shift opcode, ``ADDI`` ... ``AND``
 VALUE: Dict[int, str] = {
     ADDI: "(a + i) & 0xFFFFFFFF",
-    SLTI: "1 if sa < i else 0",
-    SLTIU: "1 if a < (i & 0xFFFFFFFF) else 0",
-    XORI: "a ^ (i & 0xFFFFFFFF)",
-    ORI: "a | (i & 0xFFFFFFFF)",
     ANDI: "a & (i & 0xFFFFFFFF)",
+    ORI: "a | (i & 0xFFFFFFFF)",
+    XORI: "a ^ (i & 0xFFFFFFFF)",
+    SLTIU: "1 if a < (i & 0xFFFFFFFF) else 0",
+    SLTI: "1 if sa < i else 0",
     SLLI: "(a << i) & 0xFFFFFFFF",
     SRLI: "a >> i",
     SRAI: "(sa >> i) & 0xFFFFFFFF",
     ADD: "(a + b) & 0xFFFFFFFF",
     SUB: "(a - b) & 0xFFFFFFFF",
-    SLL: "(a << (b & 31)) & 0xFFFFFFFF",
-    SLT: "1 if sa < sb else 0",
-    SLTU: "1 if a < b else 0",
+    AND: "a & b",
+    OR: "a | b",
     XOR: "a ^ b",
+    SLL: "(a << (b & 31)) & 0xFFFFFFFF",
     SRL: "a >> (b & 31)",
     SRA: "(sa >> (b & 31)) & 0xFFFFFFFF",
-    OR: "a | b",
-    AND: "a & b",
+    SLTU: "1 if a < b else 0",
+    SLT: "1 if sa < sb else 0",
 }
 
 #: taken condition of each conditional branch, ``BEQ`` ... ``BGEU``
 TAKEN: Dict[int, str] = {
     BEQ: "a == b",
     BNE: "a != b",
-    BLT: "sa < sb",
-    BGE: "sa >= sb",
     BLTU: "a < b",
     BGEU: "a >= b",
+    BLT: "sa < sb",
+    BGE: "sa >= sb",
 }
 
-_OPERAND = re.compile(r"\b(?:sa|sb|a|b|i)\b")
+# The tag rules of Section V-B, as Python expressions over ``t1``/``t2``
+# (the rs1/rs2 tags), ``lub`` (the lattice's LUB table) and ``bottom``.
+# The RAM rules read ``mt`` (the RAM tag bytes) at offset ``o``, or
+# ``tw``, the 32-bit tag word at an aligned offset; the store rules name
+# the stored tag ``t``.
 
+#: tag each opcode writes to rd (loads and CSR instructions have their
+#: own rules)
+RD_TAG: Dict[int, str] = {
+    LUI: "bottom", AUIPC: "bottom", JAL: "bottom", JALR: "bottom",
+    **dict.fromkeys(range(ADDI, SRAI + 1), "t1"),
+    **dict.fromkeys(range(ADD, REMU + 1), "lub[t1][t2]"),
+}
 
-def operands(expr: str) -> set:
-    """The operand names a :data:`VALUE` or :data:`TAKEN` entry uses."""
-    return set(_OPERAND.findall(expr))
+#: tag each opcode's execution-clearance check tests (Section V-B2): a
+#: branch condition, a jump target (``mret``'s is ``mepc``) or an address
+CHECK_TAG: Dict[int, str] = {
+    JALR: "t1",
+    **dict.fromkeys(range(BEQ, BGEU + 1), "lub[t1][t2]"),
+    **dict.fromkeys(range(LB, SW + 1), "t1"),
+    MRET: "csr.tag(CSR.MEPC)",
+}
 
+#: tag the clearance check of a trap entry tests (the handler address),
+#: and the tag the entry gives ``mepc`` (a pc, which no data flows into)
+TRAP_TAG = "csr.tag(CSR.MTVEC)"
+EPC_TAG = "bottom"
+
+#: tag of the 1, 2 or 4 RAM bytes from ``o`` that a load reads; ``4`` is
+#: a misaligned word
+LOAD_TAG: Dict[int, str] = {
+    1: "mt[o]",
+    2: "lub[mt[o]][mt[o + 1]]",
+    4: "lub[lub[lub[mt[o]][mt[o + 1]]][mt[o + 2]]][mt[o + 3]]",
+}
+
+#: tag of an aligned RAM word, for ``lw`` and the fetch check: a uniform
+#: tag word is its own LUB, because LUB is idempotent; only a mixed word
+#: folds its bytes
+WORD_TAG = ("tw & 0xFF if tw == (tw & 0xFF) * 0x01010101 else "
+            "lub[lub[lub[tw & 0xFF][(tw >> 8) & 0xFF]]"
+            "[(tw >> 16) & 0xFF]][tw >> 24]")
+
+#: tag a store writes to each RAM byte, and the tag word an aligned
+#: ``sw`` of tag ``t`` writes
+STORE_TAG = "t2"
+STORE_WORD = "t * 0x01010101"
 
 def expand(expr: str, names: Dict[str, str]) -> str:
-    """``expr`` with each operand name replaced by ``names[name]``."""
-    return _OPERAND.sub(lambda match: names[match.group()], expr)
+    """``expr`` with every name in ``names`` replaced by its value."""
+    pattern = r"\b(?:" + "|".join(names) + r")\b"
+    return re.sub(pattern, lambda match: names[match.group()], expr)
 
 
 def signed(value: str) -> str:
     """Expression for the signed form of the unsigned 32-bit ``value``."""
     return f"{value} - 0x100000000 if {value} >= 0x80000000 else {value}"
+
+
+#: a placeholder in a template, written as a call on the keys it stands
+#: for and then on the locals its expansion reads: ``_VALUE(D.ADDI,
+#: D.ANDI, op, a, i)`` stands for the entries of the opcodes ``ADDI`` to
+#: ``ANDI``, ``_LOAD_TAG(1, mtags, o)`` for one entry and
+#: ``_WORD_TAG(tw, lub)`` for a rule that is one expression
+_PLACEHOLDER = re.compile(r"\b_(VALUE|TAKEN|RD_TAG|CHECK_TAG|TRAP_TAG|"
+                          r"EPC_TAG|LOAD_TAG|WORD_TAG|STORE_TAG|STORE_WORD)"
+                          r"\(([^()]*)\)")
+
+#: what the tables' names stand for in a template, over its locals: the
+#: rs1/rs2 values ``a``/``b`` (ISS loop only), the register tags ``tags``
+#: of the decoded instruction ``d`` and the RAM tag bytes ``mtags``
+_TEMPLATE_NAMES = {"sa": f"({signed('a')})", "sb": f"({signed('b')})",
+                   "t1": "tags[d[2]]", "t2": "tags[d[3]]", "mt": "mtags"}
+
+
+def _expand(match) -> str:
+    """One line for a placeholder: ``(e1) if op == D.X1 else ... else
+    (en)`` in the table's order, the chain ending where the entries left
+    all share one expression (the whole line, if every entry does)."""
+    table = globals()[match.group(1)]
+    if isinstance(table, str):
+        return expand(table, _TEMPLATE_NAMES)
+    keys = [int(arg) if arg.isdigit() else globals()[arg[2:]]
+            for arg in match.group(2).split(", ")
+            if arg.isdigit() or arg.startswith("D.")]
+    exprs = [(key, expand(expr, _TEMPLATE_NAMES))
+             for key, expr in table.items() if keys[0] <= key <= keys[-1]]
+    head = ""
+    while len({expr for __, expr in exprs}) > 1:
+        (key, expr), *exprs = exprs
+        head += f"({expr}) if op == D.{OP_NAMES[key].upper()} else "
+    return f"{head}({exprs[0][1]})" if head else exprs[0][1]
+
+
+def specialize(cls, template: str, variants=None) -> None:
+    """Compile the method ``template`` of ``cls`` again from its source,
+    with each placeholder (:data:`_PLACEHOLDER`) expanded on its line.
+
+    ``variants`` maps the name of each method to compile to the literal
+    that replaces ``_DIFT`` in it; by default ``template`` is compiled in
+    place.  Each is compiled at the template's own line numbers in a
+    ``class`` header, so it keeps the qualified name ``<class>.<name>``
+    and the template's file and lines.  A template no variant keeps is
+    removed.
+    """
+    fn = vars(cls)[template]
+    lines, first = inspect.getsourcelines(fn)
+    text = _PLACEHOLDER.sub(_expand, "".join(lines))
+    variants = variants or {template: None}
+    for name, flag in variants.items():
+        source = text.replace(f"def {template}(", f"def {name}(", 1)
+        source = ("\n" * (first - 2) + f"class {cls.__name__}:\n"
+                  + source.replace("_DIFT", str(flag)))
+        namespace: dict = {}
+        exec(compile(source, fn.__code__.co_filename, "exec"),
+             fn.__globals__, namespace)
+        setattr(cls, name, vars(namespace[cls.__name__])[name])
+    if template not in variants:
+        delattr(cls, template)
 
 
 _BRANCH_BY_F3 = {0: BEQ, 1: BNE, 4: BLT, 5: BGE, 6: BLTU, 7: BGEU}

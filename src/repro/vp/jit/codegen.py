@@ -43,19 +43,18 @@ what buys the >=3x on tight loops — one dispatch, one writeback,
 thousands of retired instructions.
 
 ALU, shift and branch code is emitted from :data:`repro.vp.decode.VALUE`
-and :data:`~repro.vp.decode.TAKEN`, the table the interpreter loops are
-compiled from, with each instruction's operands substituted: registers
-become locals ``r<n>``, ``x0`` the literal ``0``, the immediate a
-literal, and a signed operand the temporary ``sx`` or ``sy``.  CPython
-folds the constant parts.  ``addi`` keeps its ``li``/``mv`` forms (and
-``addi rd, rd, 0`` emits nothing); ``mul`` is inline and the rest of the
-M extension calls ``md``, the interpreter's ``_muldiv``.
-
-Aligned in-RAM ``lw``/``sw`` use the 32-bit views ``cpu.ram32`` and
-``cpu.tags32`` with the interpreter's rule: a tag word whose four bytes
-are equal is its own LUB, only a mixed word folds, and a stored tag is
-``t * 0x01010101``.  A misaligned ``lw``/``sw`` side-exits to the
-interpreter; sub-word accesses keep the byte path.
+and :data:`~repro.vp.decode.TAKEN`, and DIFT tag code from the tag-rule
+table beside them, the tables the interpreter loops and the offline
+monitor are compiled from.  Each instruction's operands are substituted:
+registers become locals ``r<n>`` with tags ``t<n>``, ``x0`` the literal
+``0`` with the bottom tag, the immediate a literal, and a signed operand
+the temporary ``sx`` or ``sy``.  CPython folds the constant parts.
+``addi`` keeps its ``li``/``mv`` forms (and ``addi rd, rd, 0`` emits
+nothing); ``mul`` is inline and the rest of the M extension calls
+``md``, the interpreter's ``_muldiv``.  Aligned in-RAM ``lw``/``sw`` use
+the 32-bit views ``cpu.ram32`` and ``cpu.tags32``; a misaligned
+``lw``/``sw`` side-exits to the interpreter, and sub-word accesses keep
+the byte path.
 
 Correctness notes (the differential suite enforces all of these):
 
@@ -135,9 +134,9 @@ def compile_block(cpu, code_lines, invalidate_write, instrs,
     base = cpu.ram_base
     end = cpu.ram_end
     bottom = cpu._bottom
-    fetch_req = cpu._fetch_req if dift else None
-    branch_req = cpu._branch_req if dift else None
-    memaddr_req = cpu._memaddr_req if dift else None
+    fetch_req = cpu.dift.fetch_req if dift else None
+    branch_req = cpu.dift.branch_req if dift else None
+    memaddr_req = cpu.dift.memaddr_req if dift else None
 
     loop = False
     if terminated:
@@ -161,9 +160,15 @@ def compile_block(cpu, code_lines, invalidate_write, instrs,
     def tx(j: int) -> str:
         return str(bottom) if j == 0 else f"t{j}"
 
-    def lub(a: str, b: str) -> str:
-        need.add("lb")
-        return f"lb[{a}][{b}]"
+    def tag(rule: str, rs1: int = 0, rs2: int = 0, t: str = "t") -> str:
+        """A tag rule of :mod:`repro.vp.decode` over the instruction's
+        register tags, the stored tag ``t`` and the locals ``lb``, ``mt``
+        and ``tw``; binds the tables it reads."""
+        text = D.expand(rule, {"t1": tx(rs1), "t2": tx(rs2), "t": t,
+                               "lub": "lb", "bottom": str(bottom),
+                               "o": off_name})
+        need.update(name for name in ("lb", "mt") if f"{name}[" in text)
+        return text
 
     def denied(tag: str, req: int) -> str:
         need.add("fl")
@@ -173,14 +178,13 @@ def compile_block(cpu, code_lines, invalidate_write, instrs,
         """A :data:`~repro.vp.decode.VALUE` or ``TAKEN`` entry over the
         instruction's operands; emits the signed temporaries ``sx``/``sy``
         it reads first (an x0 operand is the literal ``0``)."""
-        names = {"a": rx(rs1), "b": rx(rs2), "i": str(imm)}
-        used = D.operands(expr)
-        for name, reg, tmp in (("sa", rs1, "sx"), ("sb", rs2, "sy")):
-            if name in used:
-                names[name] = tmp if reg else "0"
-                if reg:
-                    emit(ind, f"{tmp} = {D.signed(rx(reg))}")
-        return D.expand(expr, names)
+        text = D.expand(expr, {"a": rx(rs1), "b": rx(rs2), "i": str(imm),
+                               "sa": "sx" if rs1 else "0",
+                               "sb": "sy" if rs2 else "0"})
+        for tmp, reg in (("sx", rs1), ("sy", rs2)):
+            if tmp in text:
+                emit(ind, f"{tmp} = {D.signed(rx(reg))}")
+        return text
 
     def addr_expr(rs1: int, imm: int) -> str:
         if rs1 == 0:
@@ -208,14 +212,15 @@ def compile_block(cpu, code_lines, invalidate_write, instrs,
         emit(ind, f"k = {kind}")
         emit(ind, "break")
 
-    def branch_clearance(ind: int, i: int, pc: int, rs1: int,
+    def branch_clearance(ind: int, i: int, pc: int, op: int, rs1: int,
                          rs2: int) -> None:
         if branch_req is not None:
-            emit(ind, f"if {denied(lub(tx(rs1), tx(rs2)), branch_req)}:")
+            check = tag(D.CHECK_TAG[op], rs1, rs2)
+            emit(ind, f"if {denied(check, branch_req)}:")
             leave(ind + 1, pc, i, 1)
 
-    def access_guard(ind: int, i: int, pc: int, rs1: int, imm: int,
-                     size: int) -> None:
+    def access_guard(ind: int, i: int, pc: int, op: int, rs1: int,
+                     imm: int, size: int) -> None:
         """``a`` = the address; side-exit unless it is a cleared in-RAM
         access, word-aligned for ``lw``/``sw``."""
         emit(ind, f"a = {addr_expr(rs1, imm)}")
@@ -224,7 +229,7 @@ def compile_block(cpu, code_lines, invalidate_write, instrs,
             tests.append(f"a < {base}")
         tests.append(f"a > {end - size}")
         if memaddr_req is not None:
-            tests.append(denied(tx(rs1), memaddr_req))
+            tests.append(denied(tag(D.CHECK_TAG[op], rs1), memaddr_req))
         emit(ind, f"if {' or '.join(tests)}:")
         leave(ind + 1, pc, i, 1)
         if base:
@@ -246,39 +251,29 @@ def compile_block(cpu, code_lines, invalidate_write, instrs,
         """One non-branch instruction (FENCE emits nothing)."""
         op, rd, rs1, rs2, imm = d
 
-        if op == D.LUI:
+        if op <= D.AUIPC:  # LUI, AUIPC
             if rd:
-                emit(ind, f"r{rd} = {imm}")
+                value = imm if op == D.LUI else (pc + imm) & _MASK32
+                emit(ind, f"r{rd} = {value}")
                 if dift:
-                    emit(ind, f"t{rd} = {bottom}")
-
-        elif op == D.AUIPC:
-            if rd:
-                emit(ind, f"r{rd} = {(pc + imm) & _MASK32}")
-                if dift:
-                    emit(ind, f"t{rd} = {bottom}")
+                    emit(ind, f"t{rd} = {tag(D.RD_TAG[op])}")
 
         elif op == D.LW:
-            access_guard(ind, i, pc, rs1, imm, 4)
+            access_guard(ind, i, pc, op, rs1, imm, 4)
             if rd:
                 need.add("m32")
                 if not dift:
                     emit(ind, f"r{rd} = m32[{off_name} >> 2]")
                 else:
-                    need.update(("t32", "mt"))
+                    need.add("t32")
                     emit(ind, f"w = {off_name} >> 2")
                     emit(ind, f"r{rd} = m32[w]")
                     emit(ind, "tw = t32[w]")
-                    emit(ind, f"t{rd} = tw & 0xFF")
-                    emit(ind, f"if tw != t{rd} * 0x01010101:")
-                    fold = f"t{rd}"
-                    for k in (1, 2, 3):
-                        fold = lub(fold, f"mt[{offs(k)}]")
-                    emit(ind + 1, f"t{rd} = {fold}")
+                    emit(ind, f"t{rd} = {tag(D.WORD_TAG)}")
 
         elif op <= D.LHU:  # sub-word loads
             size = 2 if op in (D.LH, D.LHU) else 1
-            access_guard(ind, i, pc, rs1, imm, size)
+            access_guard(ind, i, pc, op, rs1, imm, size)
             if rd:
                 need.add("ram")
                 if op == D.LBU:
@@ -293,31 +288,24 @@ def compile_block(cpu, code_lines, invalidate_write, instrs,
                     emit(ind, f"v = ram[{offs(0)}] | (ram[{offs(1)}] << 8)")
                     emit(ind, f"r{rd} = v + 0xFFFF0000 if v >= 0x8000 else v")
                 if dift:
-                    need.add("mt")
-                    if size == 1:
-                        emit(ind, f"t{rd} = mt[{offs(0)}]")
-                    else:
-                        emit(ind, f"t{rd} = "
-                                  f"{lub(f'mt[{offs(0)}]', f'mt[{offs(1)}]')}")
+                    emit(ind, f"t{rd} = {tag(D.LOAD_TAG[size])}")
 
         elif op == D.SW:
-            access_guard(ind, i, pc, rs1, imm, 4)
+            access_guard(ind, i, pc, op, rs1, imm, 4)
             need.add("m32")
             if dift:
                 need.add("t32")
                 emit(ind, f"w = {off_name} >> 2")
                 emit(ind, f"m32[w] = {rx(rs2)}")
-                if rs2:
-                    emit(ind, f"t32[w] = t{rs2} * 0x01010101")
-                else:
-                    emit(ind, f"t32[w] = {bottom * 0x01010101}")
+                stored = tag(D.STORE_TAG, rs2=rs2)
+                emit(ind, f"t32[w] = {tag(D.STORE_WORD, t=stored)}")
             else:
                 emit(ind, f"m32[{off_name} >> 2] = {rx(rs2)}")
             smc_exit(ind, i, pc, 4)
 
         elif op <= D.SH:  # sub-word stores
             size = 1 if op == D.SB else 2
-            access_guard(ind, i, pc, rs1, imm, size)
+            access_guard(ind, i, pc, op, rs1, imm, size)
             need.add("ram")
             v = rx(rs2)
             if op == D.SB:
@@ -331,8 +319,9 @@ def compile_block(cpu, code_lines, invalidate_write, instrs,
                 emit(ind, f"ram[{offs(1)}] = 0")
             if dift:
                 need.add("mt")
+                stored = tag(D.STORE_TAG, rs2=rs2)
                 for k in range(size):
-                    emit(ind, f"mt[{offs(k)}] = {tx(rs2)}")
+                    emit(ind, f"mt[{offs(k)}] = {stored}")
             smc_exit(ind, i, pc, size)
 
         elif op <= D.REMU and rd:  # ALU, shifts and the M extension
@@ -347,10 +336,10 @@ def compile_block(cpu, code_lines, invalidate_write, instrs,
                 expr = semantics(ind, D.VALUE[op], rs1, rs2, imm)
             if expr != f"r{rd}":
                 emit(ind, f"r{rd} = {expr}")
-            if dift and op > D.SRAI:
-                emit(ind, f"t{rd} = {lub(tx(rs1), tx(rs2))}")
-            elif dift and (rs1 == 0 or rd != rs1):
-                emit(ind, f"t{rd} = {tx(rs1)}")
+            if dift:
+                expr = tag(D.RD_TAG[op], rs1, rs2)
+                if expr != f"t{rd}":
+                    emit(ind, f"t{rd} = {expr}")
 
     body = 2  # inside ``def`` and ``while True:``
     # the end index and ``else:`` line of every open skip region,
@@ -374,7 +363,7 @@ def compile_block(cpu, code_lines, invalidate_write, instrs,
             continue
         # inner forward branch: a skip region if its target is a later
         # instruction inside every open region, else an exit
-        branch_clearance(ind, i, pc, rs1, rs2)
+        branch_clearance(ind, i, pc, op, rs1, rs2)
         target = (pc + imm) & _MASK32
         j = (target - entry) >> 2
         bound = regions[-1][0] if regions else length - 1
@@ -402,7 +391,7 @@ def compile_block(cpu, code_lines, invalidate_write, instrs,
             if rd:
                 emit(body, f"r{rd} = {last_pc + 4}")
                 if dift:
-                    emit(body, f"t{rd} = {bottom}")
+                    emit(body, f"t{rd} = {tag(D.RD_TAG[op])}")
             target = (last_pc + imm) & _MASK32
             if loop:
                 emit(body, f"n += {length}")
@@ -414,7 +403,8 @@ def compile_block(cpu, code_lines, invalidate_write, instrs,
 
         elif op == D.JALR:
             if branch_req is not None:
-                emit(body, f"if {denied(tx(rs1), branch_req)}:")
+                check = tag(D.CHECK_TAG[op], rs1)
+                emit(body, f"if {denied(check, branch_req)}:")
                 leave(body + 1, last_pc, i, 1)
             # the target reads rs1 before rd is written (rd may be rs1)
             if rs1 == 0:
@@ -424,7 +414,7 @@ def compile_block(cpu, code_lines, invalidate_write, instrs,
             if rd:
                 emit(body, f"r{rd} = {last_pc + 4}")
                 if dift:
-                    emit(body, f"t{rd} = {bottom}")
+                    emit(body, f"t{rd} = {tag(D.RD_TAG[op])}")
             emit(body, f"n += {length}")
             emit(body, "k = 0")
             emit(body, "break")
@@ -432,7 +422,7 @@ def compile_block(cpu, code_lines, invalidate_write, instrs,
         else:  # conditional branch
             taken = (last_pc + imm) & _MASK32
             fall = last_pc + 4
-            branch_clearance(body, i, last_pc, rs1, rs2)
+            branch_clearance(body, i, last_pc, op, rs1, rs2)
             cond = semantics(body, D.TAKEN[op], rs1, rs2, imm)
             if loop:
                 emit(body, f"n += {length}")

@@ -17,6 +17,7 @@ not parse.
 """
 
 import hashlib
+import json
 import mmap
 import os
 import re
@@ -48,6 +49,7 @@ from repro.dift.events import (
 from repro.dift.monitor import reanalyze_stream
 from repro.gen.corpus import corpus_files, load_case
 from repro.policy import SecurityPolicy, builders
+from repro.policy.serialize import policy_to_dict
 from repro.sw import immobilizer as immo_sw
 from repro.sw import runtime, wk_suite
 from repro.vp.config import MAX_RAM_SIZE, PlatformConfig
@@ -263,6 +265,73 @@ buf: .word 0
     assert result.reason == "security"
     assert [v.unit for v in result.violations] == ["mem-addr"]
     _assert_reanalysis_matches(platform, result, path, access)
+
+
+def _record_fetch_refused_store(path):
+    """A guest jumps into a ``sw`` whose word is HC: the fetch clearance
+    refuses it, so the stream ends with a bare ``step`` packet that
+    carries the store and no address."""
+    program = assemble(runtime.program("""
+.text
+main:
+    la   t0, key
+    lw   t1, 0(t0)              # the store's base address, HC
+    j    stored
+stored:
+    sw   t1, 0(t1)
+    li   a0, 0
+    ret
+.data
+.align 4
+key: .word buf
+buf: .word 0
+""", include_lib=False))
+    key, stored = program.symbol("key"), program.symbol("stored")
+    policy = SecurityPolicy(builders.ifp1(), default_class=builders.LC)
+    policy.classify_region(key, key + 4, builders.HC)
+    policy.classify_region(stored, stored + 4, builders.HC)
+    policy.set_execution_clearance(fetch=builders.LC)
+    platform = Platform.from_config(PlatformConfig(
+        policy=policy, engine_mode=RECORD, record_events=path))
+    platform.load(program)
+    result = platform.run(max_instructions=5_000)
+    assert [(v.unit, v.pc) for v in result.violations] == [
+        ("fetch", stored)]
+    return stored
+
+
+def test_reanalysis_past_a_fetch_refusal(tmp_path, capsys):
+    """A policy that admits the refused fetch replays the refused
+    access's address check, then ends the replay: the run recorded no
+    address to apply the store at."""
+    path = str(tmp_path / "run.ev")
+    stored = _record_fetch_refused_store(path)
+    admitting = SecurityPolicy(builders.ifp1(), default_class=builders.LC)
+    admitting.set_execution_clearance(mem_addr=builders.LC)
+    offline = reanalyze_stream(path, policy=admitting)
+    assert [(v.unit, v.tag, v.pc) for v in offline.violations] == [
+        ("mem-addr", builders.HC, stored)]
+    assert offline.monitor.stopped
+    unchecked = SecurityPolicy(builders.ifp1(), default_class=builders.LC)
+    assert not reanalyze_stream(path, policy=unchecked).violations
+    policy_file = tmp_path / "admitting.json"
+    policy_file.write_text(json.dumps(policy_to_dict(admitting)))
+    assert main(["reanalyze", path, "--policy", str(policy_file)]) == 1
+    assert "mem-addr" in capsys.readouterr().out
+
+
+def test_addressless_access_packet_elsewhere_rejected(tmp_path, capsys):
+    """A ``step`` packet carrying a store is the record of a refused
+    fetch only as the stream's last instruction packet."""
+    path = str(tmp_path / "crafted.ev")
+    writer = EventWriter(path, _crafted_header())
+    writer.write_many([(EV_STEP, _PC, _SW), (EV_STEP, _PC + 4, _NOP)])
+    writer.close()
+    message = "step packet at pc=0x00001100 carries a store opcode"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        reanalyze_stream(path)
+    assert main(["reanalyze", path]) == 2
+    assert message in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------- #

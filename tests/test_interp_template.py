@@ -4,8 +4,8 @@
 DIFT-only code under ``if _DIFT:`` and plain-only code under ``if not
 _DIFT:``, and compiles it at import into ``Cpu._interp_plain`` (the VP)
 and ``Cpu._interp_dift`` (the VP+), with the flag replaced by a literal
-and the ALU, shift and branch placeholders by one-line chains from the
-opcode table.  These checks read the compiled bytecode: the plain loop
+and the opcode and tag-rule placeholders by one-line expansions of the
+tables in ``repro.vp.decode``.  These checks read the compiled bytecode: the plain loop
 must carry none of the DIFT code (or Table II's VP baseline would pay
 for hooks it never uses), neither loop may test the flag at run time or
 name a placeholder, and profiles and tracebacks must still tell the two
@@ -33,7 +33,7 @@ _DIFT_LOCALS = {"tags", "lub", "flow", "mtags", "tags32", "emitq", "dirty",
 
 #: attribute and global names only the DIFT loop reads
 _DIFT_ATTRS = {"check_execution", "ram_tags", "tags32", "_emitq",
-               "dirty_pages", "_fetch_req", "_branch_req", "_memaddr_req",
+               "dirty_pages", "fetch_req", "branch_req", "memaddr_req",
                "hot_dift", "ready_dift", "blocks_dift"}
 _DIFT_GLOBALS = {"EV_STEP", "EV_LOAD", "EV_STORE", "EV_MMIO_LOAD",
                  "EV_MMIO_STORE", "EV_FAULT_ACCESS", "SECURITY"}
@@ -44,8 +44,8 @@ _PLAIN_ATTRS = {"taint_introduced", "clean", "hot_plain", "ready_plain",
 _PLAIN_GLOBALS = {"RETAINT"}
 
 #: the template's placeholders, each replaced before compiling
-_PLACEHOLDERS = {"_DIFT", "_TAKEN", "_IMM_VALUE", "_SHIFT_VALUE",
-                 "_REG_VALUE"}
+_PLACEHOLDERS = {"_DIFT", "_VALUE", "_TAKEN", "_RD_TAG", "_CHECK_TAG",
+                 "_LOAD_TAG", "_WORD_TAG", "_STORE_TAG", "_STORE_WORD"}
 
 #: instructions that pass a condition through to its jump unchanged
 _TRANSPARENT = {"TO_BOOL", "NOT_TAKEN", "COPY", "EXTENDED_ARG", "CACHE",
@@ -137,22 +137,25 @@ def test_no_placeholder_survives():
 
 
 def test_expansions_keep_the_template_line_numbers():
-    """Each placeholder expands on its own line: the line after it still
-    holds its own code, not the rest of a chain."""
+    """Each placeholder expands on its own line: the next line with code
+    still holds its own code, not the rest of an expansion."""
     with open(os.path.realpath(cpu_module.__file__),
               encoding="utf-8") as handle:
         lines = handle.read().splitlines()
-    # `taken = _TAKEN(op, a, b)`, `value = _IMM_VALUE(op, a, i)`, ...
-    after = [number + 1 for number, text in enumerate(lines, 1)
-             if set(re.findall(r"= (_[A-Z_]+)\(", text)) & _PLACEHOLDERS]
-    assert len(after) == len(_PLACEHOLDERS) - 1
+    seen = set()
     for fn in (Cpu._interp_plain, Cpu._interp_dift):
         loaded = _names_by_line(fn)
-        for number in after:
+        numbers = sorted(number for number in loaded if number)
+        for number, following in zip(numbers, numbers[1:]):
+            # `taken = _TAKEN(D.BEQ, D.BGEU)`, `t = _LOAD_TAG(1)`, ...
+            names = set(re.findall(r"\b(_[A-Z_]+)\(", lines[number - 1]))
+            if not names & _PLACEHOLDERS:
+                continue
+            seen |= names & _PLACEHOLDERS
             # `if taken:` loads taken, `if d[1]:` loads d
-            words = set(re.findall(r"\w+", lines[number - 1]))
-            assert loaded.get(number), (fn.__name__, number)
-            assert loaded[number] <= words, (fn.__name__, number)
+            words = set(re.findall(r"\w+", lines[following - 1]))
+            assert loaded[following] <= words, (fn.__name__, following)
+    assert seen == _PLACEHOLDERS - {"_DIFT"}
 
 
 def test_profile_lists_the_two_loops_apart():

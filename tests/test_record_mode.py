@@ -11,15 +11,19 @@ a ``False`` return.  This suite pins down:
   kind/tag/required/unit/pc fields, in both modes;
 * record mode never raises and keeps accumulating;
 * raise mode and record mode detect the *same* violation on the same
-  attack scenario from the immobilizer case study.
+  attack scenario from the immobilizer case study;
+* a trap entry the engine vetoes stops the run at the faulting
+  instruction, whichever synchronous fault raised it.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.asm import assemble
 from repro.casestudy.immobilizer import PIN, EngineEcu, baseline_policy
 from repro.dift.engine import RAISE, RECORD, DiftEngine
+from repro.dift.monitor import reanalyze_stream
 from repro.errors import (
     ClearanceException,
     ExecutionClearanceError,
@@ -146,3 +150,68 @@ def test_attack_parity_record_vs_raise():
     assert raise_v.kind == "execution"
     assert raise_v.unit == "branch"
     assert raise_v.tag != raise_v.required
+
+
+# --------------------------------------------------------------------- #
+# a vetoed trap entry stops the run
+# --------------------------------------------------------------------- #
+
+#: an address no RAM or peripheral answers
+_UNMAPPED = 0x7000_0000
+
+#: each synchronous fault, raised by the instruction labelled ``fault``
+_FAULTS = {
+    "ecall": "fault: ecall",
+    "illegal": "fault: .word 0xffffffff",
+    "load-bus-fault": f"li t2, {_UNMAPPED}\nfault: lw t3, 0(t2)",
+    "fetch-fault": f"li t2, {_UNMAPPED}\nfault: jalr zero, 0(t2)",
+}
+
+
+def _vetoed_trap_platform(fault: str, path=None):
+    """``mtvec`` holds a handler address loaded from an HC word, above
+    the LC branch clearance, when ``fault`` traps."""
+    program = assemble(f"""
+.text
+_start:
+    la   t0, handler_ptr
+    lw   t1, 0(t0)
+    csrw mtvec, t1
+    {_FAULTS[fault]}
+handler:
+    ebreak
+.data
+handler_ptr: .word handler
+""")
+    ptr = program.symbol("handler_ptr")
+    policy = _policy()
+    policy.classify_region(ptr, ptr + 4, builders.HC)
+    policy.set_execution_clearance(branch=builders.LC)
+    platform = Platform.from_config(PlatformConfig(
+        policy=policy, engine_mode=RECORD, record_events=path))
+    platform.load(program)
+    return platform, program
+
+
+@pytest.mark.parametrize("fault", sorted(_FAULTS))
+def test_vetoed_trap_entry_stops_the_run(fault):
+    platform, program = _vetoed_trap_platform(fault)
+    result = platform.run(max_instructions=200)
+    assert result.reason == "security"
+    assert [(v.unit, v.tag, v.required) for v in result.violations] == [
+        ("branch", "HC", "LC")]
+    # a fetch fault traps at the address it could not fetch
+    faulting = (_UNMAPPED if fault == "fetch-fault"
+                else program.symbol("fault"))
+    assert platform.cpu.pc == faulting
+    assert result.violations[0].pc == faulting
+
+
+def test_vetoed_trap_entry_replays_as_recorded(tmp_path):
+    path = str(tmp_path / "ecall.ev")
+    platform, __ = _vetoed_trap_platform("ecall", path)
+    result = platform.run(max_instructions=200)
+    offline = reanalyze_stream(path)
+    assert offline.violations == result.violations
+    assert offline.monitor.reg_tags == platform.cpu.tags
+    assert offline.monitor.tag_image() == bytes(platform.memory.tags)
