@@ -13,6 +13,13 @@ workload registry:
 * ``mmio_heavy`` — a UART output loop; MMIO stores side-exit compiled
   code, so this guards the worst case against regressing below par.
 
+``tight_loop`` and ``branchy`` also run on the VP+ under
+:func:`~repro.bench.workloads.benchmark_policy`, where no tag ever
+leaves bottom and full-DIFT superblocks run their clean variant: the
+DIFT jit must beat the DIFT interpreter by the same floors (>= 3x and
+>= 5x).  Their records also carry DIFT-jit seconds over plain-jit
+seconds, measured in the same process and not gated.
+
 Every leg asserts the jit run retired exactly as many instructions as
 the interpreter run — a benchmark that diverged would be measuring two
 different programs.  Timings are best-of-3; the jit-on wall time is the
@@ -24,7 +31,7 @@ from time import perf_counter
 import pytest
 
 from repro.asm import assemble
-from repro.bench.workloads import TABLE2_ORDER, WORKLOADS
+from repro.bench.workloads import TABLE2_ORDER, WORKLOADS, benchmark_policy
 from repro.sw import runtime
 from repro.vp.config import PlatformConfig
 from repro.vp.platform import Platform
@@ -37,6 +44,7 @@ _SCALE = {"tight_loop": (30_000, 3_000),
           "mmio_heavy": (12_000, 1_500)}
 
 _SPEEDUPS = {}
+_DIFT_SPEEDUPS = {}
 
 _TIGHT_LOOP = """
 .text
@@ -101,8 +109,8 @@ _GUESTS = {"tight_loop": _TIGHT_LOOP,
            "mmio_heavy": _MMIO_HEAVY}
 
 
-def _run_once(program, jit):
-    platform = Platform.from_config(PlatformConfig(jit=jit))
+def _run_once(program, jit, policy=None):
+    platform = Platform.from_config(PlatformConfig(policy=policy, jit=jit))
     platform.load(program)
     started = perf_counter()
     result = platform.run()
@@ -112,10 +120,10 @@ def _run_once(program, jit):
     return platform, result, elapsed
 
 
-def _best_of(program, jit, rounds=_ROUNDS):
+def _best_of(program, jit, rounds=_ROUNDS, policy=None):
     best = None
     for __ in range(rounds):
-        platform, result, elapsed = _run_once(program, jit)
+        platform, result, elapsed = _run_once(program, jit, policy)
         if best is None or elapsed < best[2]:
             best = (platform, result, elapsed)
     return best
@@ -162,6 +170,55 @@ def test_tight_loop_meets_target(benchmark, quick):
         f"branchy speedup {_SPEEDUPS['branchy']:.2f}x < 5x target"
     # the MMIO-bound worst case must at least not fall off a cliff
     assert _SPEEDUPS["mmio_heavy"] >= 0.7
+
+
+@pytest.mark.parametrize("name", ["branchy", "tight_loop"])
+def test_dift_guest(benchmark, name, quick, bench_json):
+    """VP+ full DIFT: interpreter vs trace-compiled, and the DIFT jit
+    against the plain jit in the same process."""
+    benchmark.group = "jit-dift"
+    iters = _SCALE[name][1 if quick else 0]
+    program = assemble(runtime.program(_GUESTS[name] % {"iters": iters}))
+    policy = benchmark_policy()
+
+    p_off, r_off, t_off = _best_of(program, False, policy=policy)
+    p_on, r_on, t_on = benchmark.pedantic(
+        _best_of, args=(program, True), kwargs={"policy": policy},
+        rounds=1, iterations=1)
+    __, r_plain, t_plain = _best_of(program, True)
+
+    assert r_on.instructions == r_off.instructions == r_plain.instructions
+    assert p_on.console() == p_off.console()
+    stats = p_on.jit.stats
+    speedup = t_off / t_on
+    _DIFT_SPEEDUPS[name] = speedup
+    benchmark.extra_info.update(
+        speedup=round(speedup, 2), dift_over_plain=round(t_on / t_plain, 2))
+    bench_json(f"jit_dift_{name}",
+               {"guest": name, "instructions": r_on.instructions,
+                "seconds": t_on, "interp_seconds": t_off,
+                "plain_jit_seconds": t_plain,
+                "speedup": round(speedup, 3),
+                "dift_over_plain": round(t_on / t_plain, 3),
+                "trace_ratio": round(p_on.jit.trace_ratio(), 4),
+                "blocks_compiled": stats.compiled,
+                "clean_execs": stats.clean_execs,
+                "block_execs": stats.block_execs})
+
+
+def test_dift_meets_target(benchmark, quick):
+    """The plain legs' floors, on the VP+: >= 3x on tight_loop and >= 5x
+    on branchy over the DIFT interpreter."""
+    if quick:
+        pytest.skip("speedup target needs the full iteration budget")
+    benchmark.group = "jit-dift"
+    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+    if len(_DIFT_SPEEDUPS) < 2:
+        pytest.skip("run the full module so both DIFT legs are measured")
+    assert _DIFT_SPEEDUPS["tight_loop"] >= 3.0, \
+        f"DIFT tight loop speedup {_DIFT_SPEEDUPS['tight_loop']:.2f}x < 3x"
+    assert _DIFT_SPEEDUPS["branchy"] >= 5.0, \
+        f"DIFT branchy speedup {_DIFT_SPEEDUPS['branchy']:.2f}x < 5x"
 
 
 @pytest.mark.parametrize("name", TABLE2_ORDER)

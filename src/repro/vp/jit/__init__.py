@@ -30,6 +30,16 @@ recompilation.  Snapshot restore and debugger attach flush the whole
 cache: the trace cache is *derived* state, deliberately excluded from
 ``repro.snapshot/1``, and is rebuilt by re-profiling after restore.
 
+Each full-DIFT entry compiles in the variant its register tags call
+for: the *clean* variant (plain code plus tag guards) when its entry
+guard passes at compile time, else the *generic* one (every tag rule
+fused in).  A clean block that meets a tag exits before it (kind 3);
+at its entry the dispatcher then runs the entry's generic twin, compiled
+the first time a guard calls for it, and mid-block it hands the
+instruction to the interpreter.  Such an exit is never barren: it
+neither drops the block nor blacklists the entry.  Guests that never
+see a tag run clean blocks only (``JitStats.clean_execs``).
+
 A demand-mode RETAINT handover needs no invalidation: clean-path
 (plain) blocks are simply not dispatched while the machine is dirty —
 ``Cpu._run_dift`` only routes through the JIT when no
@@ -44,7 +54,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.vp.cpu import _BLOCKHIT, _IRQWAIT, QUANTUM
 from repro.vp.jit.builder import MAX_BLOCK_LEN, MIN_BLOCK_LEN, scan_superblock
-from repro.vp.jit.codegen import Superblock, compile_block
+from repro.vp.jit.codegen import Superblock, compile_block, entry_regs
 
 __all__ = ["JitEngine", "JitStats", "Superblock", "DEFAULT_THRESHOLD",
            "MIN_BLOCK_LEN", "MAX_BLOCK_LEN"]
@@ -68,7 +78,7 @@ class JitStats:
     __slots__ = ("compiled", "compile_failed", "invalidated_blocks",
                  "invalidation_writes", "flushes", "dropped",
                  "block_execs", "trace_instructions", "side_exits",
-                 "smc_exits")
+                 "smc_exits", "clean_execs", "generic_compiled")
 
     def __init__(self) -> None:
         self.compiled = 0
@@ -81,6 +91,10 @@ class JitStats:
         self.trace_instructions = 0
         self.side_exits = 0
         self.smc_exits = 0
+        #: block executions that ran a clean variant (part of block_execs)
+        self.clean_execs = 0
+        #: generic DIFT variants compiled, first or as a clean block's twin
+        self.generic_compiled = 0
 
 
 class JitEngine:
@@ -88,8 +102,9 @@ class JitEngine:
 
     Two independent block caches are kept: *plain* blocks (no tag
     bookkeeping — used by the plain VP and the demand-mode clean path)
-    and *dift* blocks (tag propagation fused in — full mode only).
-    Both share the ``code_lines`` set, so a store from either world
+    and *dift* blocks (full mode only), each a clean or a generic
+    variant, a clean one holding its generic twin once compiled.  Both
+    caches share the ``code_lines`` set, so a store from either world
     invalidates the other's blocks too.
     """
 
@@ -202,6 +217,10 @@ class JitEngine:
                                 hot[pc] = -1
                 if blk is not None and blk.length <= remaining:
                     stepped, kind = blk.fn(cpu, remaining)
+                    if kind == 3 and not stepped:
+                        stepped, kind = self._run_generic(blk, remaining)
+                    elif stepped and blk.clean:
+                        stats.clean_execs += 1
                     if stepped:
                         executed += stepped
                         stats.block_execs += 1
@@ -213,13 +232,14 @@ class JitEngine:
                     if kind == 2:
                         stats.smc_exits += 1
                         continue
-                    stats.side_exits += 1
-                    if not stepped:
-                        blk.barren += 1
-                        if blk.barren >= BARREN_LIMIT:
-                            self._drop(blk)
-                            stats.dropped += 1
-                            hot[blk.entry] = -1
+                    if kind == 1:
+                        stats.side_exits += 1
+                        if not stepped:
+                            blk.barren += 1
+                            if blk.barren >= BARREN_LIMIT:
+                                self._drop(blk)
+                                stats.dropped += 1
+                                hot[blk.entry] = -1
                     # fall through to the interpreter for progress
             asked = n - executed
             if asked > chunk:
@@ -248,6 +268,19 @@ class JitEngine:
             reason = QUANTUM
         return executed, reason
 
+    def _run_generic(self, blk: Superblock,
+                     remaining: int) -> Tuple[int, int]:
+        """A clean block's entry guard met a tag: run its generic twin,
+        compiled the first time a guard calls for it.  A failed guard is
+        never barren: it neither drops the block nor blacklists it."""
+        generic = blk.generic
+        if generic is None:
+            # the clean block's fetch guard just passed, so its code tags
+            # still clear the fetch check and the twin compiles
+            generic = blk.generic = self._compile_block(*blk.scan, True,
+                                                        False)
+        return generic.fn(self.cpu, remaining)
+
     # ------------------------------------------------------------------ #
     # compilation
     # ------------------------------------------------------------------ #
@@ -275,17 +308,34 @@ class JitEngine:
         if any(line in no_compile for line in range(lo_line, hi_line + 1)):
             self.stats.compile_failed += 1
             return None
-        blk = compile_block(self.cpu, self.code_lines,
-                            self.invalidate_write, instrs, terminated,
-                            dift)
-        if blk is None:  # pragma: no cover - defensive
+        # a DIFT entry compiles clean if its entry guard passes now
+        tags = self.cpu.tags
+        bottom = self.cpu._bottom
+        clean = dift and all(tags[j] == bottom for j in entry_regs(instrs)[0])
+        blk = self._compile_block(instrs, terminated, dift, clean)
+        if blk is None:  # code tags that do not clear the fetch check
             self.stats.compile_failed += 1
             return None
         blocks[entry] = blk
         for line in blk.lines:
             self.code_lines.add(line)
             self._line_blocks.setdefault(line, set()).add(blk)
-        self.stats.compiled += 1
+        return blk
+
+    def _compile_block(self, instrs, terminated: bool, dift: bool,
+                       clean: bool) -> Optional[Superblock]:
+        """Compile one flavour of ``instrs`` and count it.
+
+        A generic twin shares its clean block's scan and code lines and
+        is reached only through it, so invalidating or dropping the clean
+        block retires both.
+        """
+        blk = compile_block(self.cpu, self.code_lines, self.invalidate_write,
+                            instrs, terminated, dift, clean)
+        if blk is not None:
+            self.stats.compiled += 1
+            if dift and not clean:
+                self.stats.generic_compiled += 1
         return blk
 
     # ------------------------------------------------------------------ #

@@ -4,13 +4,25 @@ Each superblock is compiled once into a specialized closure::
 
     fn(cpu, limit) -> (count, exit_kind)
 
-with registers hoisted into locals, the decoded tuple's constants
-folded into the source and — for DIFT blocks — tag propagation fused
-inline.  The body sits in one ``while True:``; every exit sets the exit
-pc ``x``, the retired count ``n`` and the kind ``k``, then breaks out to
-a single register (and tag) writeback, so the source grows linearly
-with the block.  The prologue binds only what the block uses.  Exit
-kinds:
+with registers hoisted into locals and the decoded tuple's constants
+folded into the source.  The body sits in one ``while True:``; every
+exit sets the exit pc ``x``, the retired count ``n`` and the kind ``k``,
+then breaks out to a single register (and tag) writeback, so the source
+grows linearly with the block.  The prologue binds only what the block
+uses.
+
+A block compiles in one of three flavours from the one emitter:
+
+* *plain* — no tags, for the plain VP and demand mode's clean path;
+* *generic* DIFT (``dift=True``) — every tag rule fused inline, with
+  register tags hoisted into locals beside the values;
+* *clean* DIFT (``dift=True, clean=True``) — the plain block's code plus
+  an entry guard on the register tags, a tag test before each RAM load
+  and a bottom tag write per store.  Its register tags are bottom, so
+  every rule over them yields bottom and every branch, ``jalr`` and
+  mem-addr clearance folds away: ``flow[bottom][req]`` always holds.
+
+Exit kinds:
 
 * ``0`` — block complete: ``cpu.pc`` points at the successor, ``count``
   instructions retired.  An inner branch taken out of the block exits
@@ -25,6 +37,18 @@ kinds:
 * ``2`` — self-modifying-code exit *after* a store into a code line: the
   store has fully retired (``count`` includes it), the block has already
   called the invalidation hook, and ``cpu.pc`` points at the successor.
+* ``3`` — a clean block met a tag: its entry guard failed (``count ==
+  0``), or the bytes a load reads are not all bottom.  Like kind 1 it
+  leaves *before* the instruction, with nothing that depends on the tag
+  retired; the dispatcher runs the entry's generic variant or the
+  interpreter.
+
+The clean entry guard is ``cpu.tags == [bottom] * 32``; failing that,
+the tags of the registers the block reads before writing must be bottom
+(:func:`entry_regs`).  A register it writes first, ahead of its first
+conditional branch, may enter tagged: its tag lives in a local that
+starts as the entry tag and is bottom from that write on, and is written
+back only when the guard saw a tag.
 
 The builder scans through forward conditional branches, so a block can
 hold inner branches.  An inner branch whose target is a later
@@ -62,13 +86,14 @@ Correctness notes (the differential suite enforces all of these):
   the builder only accepted words already in the cache, so cache
   population — and the ``cpu.decode_cache.*`` gauges and snapshot
   section — match interpreted runs exactly.
-* The DIFT fetch guard side-exits whenever any byte tag under the block
-  is not lattice bottom.  ``flow[bottom][req]`` is True by lattice
-  construction (bottom reaches every class), so an all-bottom range is
-  exactly the case where the interpreter's per-instruction fetch check
-  passes without calling ``check_execution``.  The guard is re-checked
-  only at block entry: the tags under the block can change mid-block
-  only through the block's own stores, and those take the SMC exit.
+* A DIFT block compiles only over code whose byte tags all clear the
+  fetch requirement (so their LUB does: the interpreter's per-instruction
+  fetch check then passes without calling ``check_execution``), and its
+  fetch guard side-exits (kind 1, ``count == 0``) unless the tags are
+  still the compiled ones: one ``mt.count`` when they are uniform, a
+  slice compare otherwise.  The guard is re-checked only at block entry:
+  the tags under the block can change mid-block only through the block's
+  own stores, and those take the SMC exit.
 * Clearance checks are compiled as raw ``flow`` lookups that side-exit
   on failure — inner branches included; the interpreter then repeats
   the lookup and performs the ``check_execution`` bookkeeping
@@ -91,42 +116,70 @@ _MASK32 = 0xFFFFFFFF
 _BINDINGS = (("ram", "cpu.ram"), ("mt", "cpu.ram_tags"),
              ("m32", "cpu.ram32"), ("t32", "cpu.tags32"))
 #: default-argument constants of the generated ``block`` function
-_DEFAULTS = ("md", "cp", "iv", "lb", "fl")
+_DEFAULTS = ("md", "cp", "iv", "lb", "fl", "bt", "ct")
 
 
 class Superblock:
     """A compiled superblock plus its dispatch bookkeeping."""
 
-    __slots__ = ("entry", "length", "dift", "loop", "fn", "lines",
-                 "source", "completes", "sidexits", "barren")
+    __slots__ = ("entry", "length", "dift", "clean", "loop", "fn", "lines",
+                 "source", "scan", "generic", "completes",
+                 "sidexits", "barren")
 
-    def __init__(self, entry: int, length: int, dift: bool, loop: bool,
-                 fn, lines: Tuple[int, ...], source: str):
+    def __init__(self, entry: int, length: int, dift: bool, clean: bool,
+                 loop: bool, fn, lines: Tuple[int, ...], source: str,
+                 scan: tuple):
         self.entry = entry
         self.length = length   # longest path: every instruction
         self.dift = dift
+        self.clean = clean     # the clean flavour of a DIFT block
         self.loop = loop
         self.fn = fn
         self.lines = lines     # 16-byte RAM lines holding the block's code
         self.source = source
+        self.scan = scan       # (instrs, terminated), to compile a twin
+        self.generic = None    # a clean block's generic twin, once compiled
         self.completes = 0     # exits with kind 0
-        self.sidexits = 0      # exits with kind 1 or 2
+        self.sidexits = 0      # exits with kind 1, 2 or 3
         self.barren = 0        # kind-1 exits that retired nothing
 
     def __repr__(self) -> str:
-        kind = "dift" if self.dift else "plain"
+        kind = ("clean" if self.clean else "dift") if self.dift else "plain"
         shape = "loop" if self.loop else "line"
         return (f"Superblock({self.entry:#010x}, len={self.length}, "
                 f"{kind}, {shape})")
 
 
+def entry_regs(instrs) -> Tuple[List[int], List[int]]:
+    """The registers a clean block needs bottom at entry, and the ones it
+    tracks instead: those it writes before reading, ahead of its first
+    conditional branch.  A tracked register's tag local starts as its
+    entry tag and is bottom from that write on."""
+    seen: Set[int] = set()
+    tracked: Set[int] = set()
+    for __, (op, rd, rs1, rs2, __) in instrs:
+        seen.update((rs1, rs2))
+        if rd not in seen:
+            tracked.add(rd)
+        seen.add(rd)
+        if D.BEQ <= op <= D.BGEU:
+            break
+    touched = sorted({r for __, d in instrs for r in d[1:4]} - {0})
+    return ([j for j in touched if j not in tracked],
+            [j for j in touched if j in tracked])
+
+
 def compile_block(cpu, code_lines, invalidate_write, instrs,
-                  terminated: bool, dift: bool) -> Optional[Superblock]:
+                  terminated: bool, dift: bool,
+                  clean: bool = False) -> Optional[Superblock]:
     """Compile ``instrs`` (from the builder) into a :class:`Superblock`.
 
-    Returns ``None`` for a block holding an opcode from ``ECALL`` on
-    (system, CSR or illegal), which the builder never passes: the
-    generator has no code for them.
+    ``dift`` compiles the generic DIFT block; with ``clean`` as well,
+    its clean flavour.  Returns ``None`` for a DIFT block whose code
+    tags do not all clear the fetch check (the interpreter owns each
+    such fetch's check), and for a block holding an opcode from
+    ``ECALL`` on (system, CSR or illegal), which the builder never
+    passes: the generator has no code for them.
     """
     entry = instrs[0][0]
     length = len(instrs)
@@ -134,9 +187,18 @@ def compile_block(cpu, code_lines, invalidate_write, instrs,
     base = cpu.ram_base
     end = cpu.ram_end
     bottom = cpu._bottom
+    # a clean block's register tags are all bottom, and bottom clears
+    # every requirement, so its branch, jalr and mem-addr checks fold away
+    tagged = dift and not clean
     fetch_req = cpu.dift.fetch_req if dift else None
-    branch_req = cpu.dift.branch_req if dift else None
-    memaddr_req = cpu.dift.memaddr_req if dift else None
+    branch_req = cpu.dift.branch_req if tagged else None
+    memaddr_req = cpu.dift.memaddr_req if tagged else None
+    code_tags = None
+    if fetch_req is not None:
+        code_tags = bytes(cpu.ram_tags[entry - base:last_pc + 4 - base])
+        flow = cpu.dift.flow
+        if not all(flow[t][fetch_req] for t in set(code_tags)):
+            return None
 
     loop = False
     if terminated:
@@ -158,7 +220,7 @@ def compile_block(cpu, code_lines, invalidate_write, instrs,
         return "0" if j == 0 else f"r{j}"
 
     def tx(j: int) -> str:
-        return str(bottom) if j == 0 else f"t{j}"
+        return f"t{j}" if j and tagged else str(bottom)
 
     def tag(rule: str, rs1: int = 0, rs2: int = 0, t: str = "t") -> str:
         """A tag rule of :mod:`repro.vp.decode` over the instruction's
@@ -235,6 +297,13 @@ def compile_block(cpu, code_lines, invalidate_write, instrs,
         if base:
             emit(ind, f"o = a - {base}")
 
+    def tainted_exit(ind: int, i: int, pc: int, loaded: str,
+                     clean_tag: str) -> None:
+        """A clean block's kind-3 exit before a load whose ``loaded`` tag
+        is not ``clean_tag``, the tag of bytes that are all bottom."""
+        emit(ind, f"if {loaded} != {clean_tag}:")
+        leave(ind + 1, pc, i, 3)
+
     def smc_exit(ind: int, i: int, pc: int, size: int) -> None:
         """Kind-2 exit after a store that hit a compiled code line; only
         a halfword can straddle two lines (a word store is aligned)."""
@@ -255,7 +324,7 @@ def compile_block(cpu, code_lines, invalidate_write, instrs,
             if rd:
                 value = imm if op == D.LUI else (pc + imm) & _MASK32
                 emit(ind, f"r{rd} = {value}")
-                if dift:
+                if tagged:
                     emit(ind, f"t{rd} = {tag(D.RD_TAG[op])}")
 
         elif op == D.LW:
@@ -267,15 +336,23 @@ def compile_block(cpu, code_lines, invalidate_write, instrs,
                 else:
                     need.add("t32")
                     emit(ind, f"w = {off_name} >> 2")
+                    if clean:
+                        # the tag word a sw of a bottom tag writes
+                        tainted_exit(ind, i, pc, "t32[w]",
+                                     tag(D.STORE_WORD, t=str(bottom)))
                     emit(ind, f"r{rd} = m32[w]")
-                    emit(ind, "tw = t32[w]")
-                    emit(ind, f"t{rd} = {tag(D.WORD_TAG)}")
+                    if tagged:
+                        emit(ind, "tw = t32[w]")
+                        emit(ind, f"t{rd} = {tag(D.WORD_TAG)}")
 
         elif op <= D.LHU:  # sub-word loads
             size = 2 if op in (D.LH, D.LHU) else 1
             access_guard(ind, i, pc, op, rs1, imm, size)
             if rd:
                 need.add("ram")
+                if clean:
+                    tainted_exit(ind, i, pc, tag(D.LOAD_TAG[size]),
+                                 str(bottom))
                 if op == D.LBU:
                     emit(ind, f"r{rd} = ram[{offs(0)}]")
                 elif op == D.LB:
@@ -287,7 +364,7 @@ def compile_block(cpu, code_lines, invalidate_write, instrs,
                 else:  # LH
                     emit(ind, f"v = ram[{offs(0)}] | (ram[{offs(1)}] << 8)")
                     emit(ind, f"r{rd} = v + 0xFFFF0000 if v >= 0x8000 else v")
-                if dift:
+                if tagged:
                     emit(ind, f"t{rd} = {tag(D.LOAD_TAG[size])}")
 
         elif op == D.SW:
@@ -336,7 +413,7 @@ def compile_block(cpu, code_lines, invalidate_write, instrs,
                 expr = semantics(ind, D.VALUE[op], rs1, rs2, imm)
             if expr != f"r{rd}":
                 emit(ind, f"r{rd} = {expr}")
-            if dift:
+            if tagged:
                 expr = tag(D.RD_TAG[op], rs1, rs2)
                 if expr != f"t{rd}":
                     emit(ind, f"t{rd} = {expr}")
@@ -352,6 +429,17 @@ def compile_block(cpu, code_lines, invalidate_write, instrs,
             if all(ln.lstrip().startswith("#") for ln in lines[at + 1:]):
                 emit(body + len(regions) + 1, "pass")
 
+    live_in, tracked = entry_regs(instrs) if clean else ([], [])
+    untagged = set(tracked)  # tracked registers not yet written
+
+    def note(ind: int, d: tuple) -> None:
+        """After instruction ``d`` wrote its rd: a tracked register's
+        first write makes its tag bottom."""
+        rd = d[1]
+        if rd in untagged:
+            untagged.discard(rd)
+            emit(ind, f"t{rd} = {bottom}")
+
     straight = instrs[:-1] if terminated else instrs
     for i, (pc, d) in enumerate(straight):
         close_regions(i)
@@ -360,6 +448,7 @@ def compile_block(cpu, code_lines, invalidate_write, instrs,
         emit(ind, f"# [{i}] {pc:#010x} {D.OP_NAMES[op]}")
         if not D.BEQ <= op <= D.BGEU:
             emit_op(ind, i, pc, d)
+            note(ind, d)
             continue
         # inner forward branch: a skip region if its target is a later
         # instruction inside every open region, else an exit
@@ -390,8 +479,9 @@ def compile_block(cpu, code_lines, invalidate_write, instrs,
         if op == D.JAL:
             if rd:
                 emit(body, f"r{rd} = {last_pc + 4}")
-                if dift:
+                if tagged:
                     emit(body, f"t{rd} = {tag(D.RD_TAG[op])}")
+            note(body, last_d)
             target = (last_pc + imm) & _MASK32
             if loop:
                 emit(body, f"n += {length}")
@@ -413,8 +503,9 @@ def compile_block(cpu, code_lines, invalidate_write, instrs,
                 emit(body, f"x = ({rx(rs1)} + {imm}) & 0xFFFFFFFE")
             if rd:
                 emit(body, f"r{rd} = {last_pc + 4}")
-                if dift:
+                if tagged:
                     emit(body, f"t{rd} = {tag(D.RD_TAG[op])}")
+            note(body, last_d)
             emit(body, f"n += {length}")
             emit(body, "k = 0")
             emit(body, "break")
@@ -438,41 +529,66 @@ def compile_block(cpu, code_lines, invalidate_write, instrs,
                 leave(body, f"{taken} if {cond} else {fall}", length, 0)
 
     # ---- prologue and epilogue -------------------------------------- #
-    defaults = "".join(f", {name}={name.upper()}"
-                       for name in _DEFAULTS if name in need)
-    head: List[str] = [f"def block(cpu, limit{defaults}):"]
+    guards: List[str] = []
     if fetch_req is not None:
+        # the code tags cleared the fetch check at compile time; a kind-1
+        # exit unless they are still the compiled ones
         lo = entry - base
         hi = last_pc + 4 - base
-        head.append("    mt = cpu.ram_tags")
-        head.append(f"    if mt.count({bottom}, {lo}, {hi}) != {hi - lo}:")
-        head.append("        return 0, 1")
+        guards.append("    mt = cpu.ram_tags")
+        if len(set(code_tags)) == 1:
+            guards.append(f"    if mt.count({code_tags[0]}, {lo}, {hi})"
+                          f" != {hi - lo}:")
+        else:
+            need.add("ct")
+            guards.append(f"    if mt[{lo}:{hi}] != ct:")
+        guards.append("        return 0, 1")
         need.discard("mt")
+    if clean and hoisted:
+        # every register tag bottom; failing that, the tag of every
+        # register the block reads before writing, and a kind-3 exit
+        # unless those are bottom
+        need.add("bt")
+        guards += ["    tags = cpu.tags", "    tainted = tags != bt",
+                   "    if tainted:"]
+        if live_in:
+            read = "".join(f"tags[{j}], " for j in live_in)
+            guards += [f"        if ({read}) != {(bottom,) * len(live_in)}:",
+                       "            return 0, 3"]
+        guards += [f"        t{j} = tags[{j}]" for j in tracked]
+    defaults = "".join(f", {name}={name.upper()}"
+                       for name in _DEFAULTS if name in need)
+    head: List[str] = [f"def block(cpu, limit{defaults}):", *guards]
     if hoisted:
         head.append("    regs = cpu.regs")
-        if dift:
+        if tagged:
             head.append("    tags = cpu.tags")
     for name, attr in _BINDINGS:
         if name in need:
             head.append(f"    {name} = {attr}")
     head += [f"    r{j} = regs[{j}]" for j in hoisted]
-    if dift:
+    if tagged:
         head += [f"    t{j} = tags[{j}]" for j in hoisted]
     head += ["    n = 0", "    while True:"]
     tail = [f"    regs[{j}] = r{j}" for j in wb_regs]
-    if dift:
+    if tagged:
         tail += [f"    tags[{j}] = t{j}" for j in wb_regs]
+    if clean and tracked:
+        tail += ["    if tainted:"]
+        tail += [f"        tags[{j}] = t{j}" for j in tracked]
     tail += ["    cpu.pc = x", "    return n, k"]
 
     # ---- compile ---------------------------------------------------- #
     source = "\n".join(head + lines + tail) + "\n"
-    flavor = "dift" if dift else "plain"
+    flavor = ("clean" if clean else "dift") if dift else "plain"
     namespace = {
         "MD": _muldiv,
         "CP": code_lines,
         "IV": invalidate_write,
         "LB": cpu.dift.lub if dift else None,
         "FL": cpu.dift.flow if dift else None,
+        "BT": [bottom] * 32,
+        "CT": code_tags,
     }
     code = compile(source, f"<jit:{flavor}:{entry:#010x}>", "exec")
     exec(code, namespace)
@@ -480,5 +596,5 @@ def compile_block(cpu, code_lines, invalidate_write, instrs,
     lo_line = (entry - base) >> 4
     hi_line = (last_pc + 3 - base) >> 4
     lines16 = tuple(range(lo_line, hi_line + 1))
-    return Superblock(entry, length, dift, loop, namespace["block"],
-                      lines16, source)
+    return Superblock(entry, length, dift, clean, loop, namespace["block"],
+                      lines16, source, (instrs, terminated))

@@ -345,8 +345,12 @@ class Platform:
                                  lambda: jit.stats.invalidated_blocks)
             metrics.set_gauge_fn("jit.flushes",
                                  lambda: jit.stats.flushes)
+            metrics.set_gauge_fn("jit.blocks.generic",
+                                 lambda: jit.stats.generic_compiled)
             metrics.set_gauge_fn("jit.exec.blocks",
                                  lambda: jit.stats.block_execs)
+            metrics.set_gauge_fn("jit.exec.clean_blocks",
+                                 lambda: jit.stats.clean_execs)
             metrics.set_gauge_fn("jit.exec.trace_instructions",
                                  lambda: jit.stats.trace_instructions)
             metrics.set_gauge_fn("jit.exec.trace_ratio",

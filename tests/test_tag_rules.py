@@ -15,11 +15,18 @@ emitter against them.  It works in IFP-3, where the LUB of (HC,HI) and
   it.
 
 Each case runs once on the interpreter while recording, once replayed
-from that recording, and once as one compiled DIFT superblock.  A block
-compiles no system instruction and its fetch guard hands any tagged code
-to the interpreter, so the superblock leg leaves out the CSR, fetch,
-``mret`` and trap cases.  Where the interpreter checks and stops, and
-before a misaligned word, the block must side-exit instead.
+from that recording, and once as one compiled DIFT superblock, the
+generic variant.  A block compiles no system instruction, and none over
+code whose tags do not clear the fetch check, so the superblock leg
+leaves out the CSR, fetch, ``mret`` and trap cases.  Where the
+interpreter checks and stops, and before a misaligned word, the block
+must side-exit instead.
+
+The clean variant runs every superblock case twice: from the program
+entry, and from the state the interpreter reaches after the prologue
+(whose loads tag s1, s2 and s3).  Each run either completes with the
+hand-stated tags, or exits before its first tainted instruction with the
+state the interpreter has after as many instructions.
 
 Only the standard library is used, so the module also runs as a plain
 script on interpreters without pytest::
@@ -260,6 +267,69 @@ def _check_superblock(case):
     assert state == expected, ("superblock", case["name"], state)
 
 
+#: instructions the prologue retires before each case's body
+_PROLOGUE_ONLY = assemble(f".text\n_start:\n{_PROLOGUE}\ndone:\n"
+                          f"    ebreak\n{_DATA}")
+_PROLOGUE_LEN = (_PROLOGUE_ONLY.symbol("done") - _PROLOGUE_ONLY.entry) // 4
+
+
+def _machine(platform):
+    """Registers, their tags, pc, RAM and RAM tags."""
+    cpu = platform.cpu
+    return (list(cpu.regs), list(cpu.tags), cpu.pc,
+            bytes(platform.memory.data), bytes(platform.memory.tags))
+
+
+def _reads_a_tag(platform):
+    """Does the instruction at pc read a register or RAM tag above
+    bottom?"""
+    cpu = platform.cpu
+    op, __, rs1, rs2, imm = D.decode(cpu.read_word(cpu.pc))
+    if any(reg and cpu.tags[reg] != cpu._bottom for reg in (rs1, rs2)):
+        return True
+    if not D.LB <= op <= D.LHU:
+        return False
+    size = 4 if op == D.LW else 2 if op in (D.LH, D.LHU) else 1
+    offset = ((cpu.regs[rs1] + imm) & 0xFFFFFFFF) - cpu.ram_base
+    return any(tag != cpu._bottom
+               for tag in platform.memory.tags[offset:offset + size])
+
+
+def _check_clean_superblock(case, start):
+    """The clean variant of the case's block from its ``start``-th
+    instruction, after the interpreter retired the ones before it;
+    returns the exit kind."""
+    platform, program = _platform(case)
+    cpu = platform.cpu
+    cpu._interp_dift(start)
+    instrs = [(pc, D.decode(cpu.read_word(pc)))
+              for pc in range(cpu.pc, program.symbol("done"), 4)]
+    terminated = D.JAL <= instrs[-1][1][0] <= D.BGEU
+    block = compile_block(cpu, set(), None, instrs, terminated, dift=True,
+                          clean=True)
+    count, kind = block.fn(cpu, len(instrs))
+    twin, __ = _platform(case)
+    twin.cpu._interp_dift(start + count)
+    where = (case["name"], start, count, kind)
+    assert _machine(platform) == _machine(twin), where
+    if kind == 0:
+        assert count == len(instrs), where
+        state = _state(case, program, platform.engine.lattice, cpu.tags,
+                       bytes(platform.memory.tags), [])
+        assert state == dict(_expected(case), violations=[]), where
+    elif kind == 1:
+        # only a misaligned word side-exits a clean block
+        assert case["jit"] == "exit" and not case["violation"], where
+        assert cpu.pc == program.symbol("check"), where
+    else:
+        assert kind == 3, where
+        # a tainted instruction lies ahead, before the case ends
+        while not _reads_a_tag(twin):
+            assert twin.cpu.pc < program.symbol("done"), where
+            twin.cpu._interp_dift(1)
+    return kind
+
+
 def test_cases_cover_every_register_result_opcode():
     stated = {case["name"].split("-")[0] for case in _CASES}
     names = {D.OP_NAMES[op] for op in D.RD_TAG}
@@ -293,6 +363,22 @@ def test_dift_superblocks():
     for case in _CASES:
         if case["jit"]:
             _check_superblock(case)
+
+
+def test_clean_superblocks():
+    kinds = {}
+    for case in _CASES:
+        if case["jit"]:
+            for start in (0, _PROLOGUE_LEN):
+                kind = _check_clean_superblock(case, start)
+                kinds.setdefault((start, kind), []).append(case["name"])
+    # from the entry, every case exits at the prologue's first tagged load
+    assert set(kinds) == {(0, 3), (_PROLOGUE_LEN, 0), (_PROLOGUE_LEN, 1),
+                          (_PROLOGUE_LEN, 3)}, sorted(kinds)
+    # after the prologue, the bodies that read no tag complete
+    assert sorted(kinds[_PROLOGUE_LEN, 0]) == [
+        "auipc", "jal", "jalr", "lhu-uniform", "li", "lui",
+        "sb-x0-over-mixed", "sw-x0-over-mixed"]
 
 
 if __name__ == "__main__":
