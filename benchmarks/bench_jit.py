@@ -10,8 +10,9 @@ workload registry:
 * ``branchy`` — a forward-branch ladder inside the loop.  Superblocks
   run through forward branches, so the whole loop, its three if-thens
   compiled as skip regions, is one looping block (>= 5x asserted).
-* ``mmio_heavy`` — a UART output loop; MMIO stores side-exit compiled
-  code, so this guards the worst case against regressing below par.
+* ``mmio_heavy`` — a UART output loop on the plain VP.  Its store to
+  the UART's TX register is an inline transport call, so the loop runs
+  compiled (>= 1.3x asserted).
 
 ``tight_loop`` and ``branchy`` also run on the VP+ under
 :func:`~repro.bench.workloads.benchmark_policy`, where no tag ever
@@ -156,8 +157,8 @@ def test_synthetic_guest(benchmark, name, quick, bench_json):
 
 
 def test_tight_loop_meets_target(benchmark, quick):
-    """In-process speed-up floors: >= 3x on the trace-friendly case and
-    >= 5x on the forward-branch ladder."""
+    """In-process speed-up floors: >= 3x on the trace-friendly case,
+    >= 5x on the forward-branch ladder and >= 1.3x on the UART loop."""
     if quick:
         pytest.skip("speedup target needs the full iteration budget")
     benchmark.group = "jit-synthetic"
@@ -168,8 +169,8 @@ def test_tight_loop_meets_target(benchmark, quick):
         f"tight loop speedup {_SPEEDUPS['tight_loop']:.2f}x < 3x target"
     assert _SPEEDUPS["branchy"] >= 5.0, \
         f"branchy speedup {_SPEEDUPS['branchy']:.2f}x < 5x target"
-    # the MMIO-bound worst case must at least not fall off a cliff
-    assert _SPEEDUPS["mmio_heavy"] >= 0.7
+    assert _SPEEDUPS["mmio_heavy"] >= 1.3, \
+        f"mmio_heavy speedup {_SPEEDUPS['mmio_heavy']:.2f}x < 1.3x target"
 
 
 @pytest.mark.parametrize("name", ["branchy", "tight_loop"])

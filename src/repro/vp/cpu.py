@@ -683,6 +683,9 @@ class Cpu(Module):
         # profiles only outside demand mode.
         jit = self._jit
         jcl = jit.code_lines if jit is not None else None
+        # the JIT's MMIO profile: compiled code makes each access it
+        # records as an inline transport call
+        jmmio = jit.mmio if jit is not None else None
         jhot = jready = jblocks = None
         jthreshold = 0
         if _DIFT:
@@ -922,6 +925,8 @@ class Cpu(Module):
                             break
                         pc = self.pc
                         continue
+                    if jmmio is not None:
+                        jmmio[pc] = t != bottom or jmmio.get(pc, False)
                     if _DIFT:
                         if emitq is not None:
                             emitq.append((EV_MMIO_LOAD, pc, word, addr, t))
@@ -1014,6 +1019,8 @@ class Cpu(Module):
                             break
                         pc = self.pc
                         continue
+                    if jmmio is not None:
+                        jmmio[pc] = False
                     if not _DIFT:
                         if live is not None and not live.clean:
                             # demand mode: the write had a synchronous

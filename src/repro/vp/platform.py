@@ -351,6 +351,8 @@ class Platform:
                                  lambda: jit.stats.block_execs)
             metrics.set_gauge_fn("jit.exec.clean_blocks",
                                  lambda: jit.stats.clean_execs)
+            metrics.set_gauge_fn("jit.exec.mmio",
+                                 lambda: jit.stats.mmio_calls)
             metrics.set_gauge_fn("jit.exec.trace_instructions",
                                  lambda: jit.stats.trace_instructions)
             metrics.set_gauge_fn("jit.exec.trace_ratio",

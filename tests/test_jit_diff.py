@@ -526,24 +526,59 @@ def test_budget_ends_mid_iteration(mode, dift, dift_mode):
         assert p_on.jit.stats.trace_instructions > budget // 2
 
 
-_MMIO_FIRST = """
+_MISALIGNED_FIRST = """
 .text
 main:
-    li   t2, UART_STATUS
+    la   t2, word
+    addi t2, t2, 1
     li   t0, 200
 loop:
-    lw   t1, 0(t2)          # MMIO: every entry side-exits, retiring nothing
-    addi t0, t0, -1
+    lw   t1, 0(t2)          # misaligned: every entry side-exits, retiring
+    addi t0, t0, -1         # nothing
     bnez t0, loop
     li   a0, 0
     ret
+.data
+.align 2
+word:
+    .word 0x12345678, 0
 """
 
 
 @pytest.mark.parametrize("mode,dift,dift_mode", MODES[:2],
                          ids=_MODE_IDS[:2])
 def test_barren_block_is_dropped_not_invalidated(mode, dift, dift_mode):
-    p_on = _shape_pair(_shape_program(_MMIO_FIRST), dift, dift_mode)
+    p_on = _shape_pair(_shape_program(_MISALIGNED_FIRST), dift, dift_mode)
+    stats = p_on.jit.stats
+    assert stats.dropped == 1
+    assert stats.invalidated_blocks == 0
+
+
+_MISALIGNED_SECOND = """
+.text
+main:
+    la   t2, word
+    addi t2, t2, 2
+    li   t0, 200
+loop:
+    addi t0, t0, -1
+    lw   t1, 0(t2)          # misaligned: every entry side-exits after one
+    bnez t0, loop           # instruction
+    li   a0, 0
+    ret
+.data
+.align 2
+word:
+    .word 0x12345678, 0
+"""
+
+
+@pytest.mark.parametrize("mode,dift,dift_mode", MODES, ids=_MODE_IDS)
+def test_short_yield_block_is_dropped(mode, dift, dift_mode):
+    """A block whose exits retire fewer than ``MIN_BLOCK_LEN``
+    instructions is not worth its dispatch: it is dropped like one that
+    retires nothing."""
+    p_on = _shape_pair(_shape_program(_MISALIGNED_SECOND), dift, dift_mode)
     stats = p_on.jit.stats
     assert stats.dropped == 1
     assert stats.invalidated_blocks == 0
