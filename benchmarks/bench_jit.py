@@ -235,9 +235,13 @@ def test_workload_speedup(benchmark, name, quick, bench_json):
         result = platform.run(max_instructions=budget)
         return platform, result, perf_counter() - started
 
-    p_off, r_off, t_off = run(False)
+    def best(jit):
+        return min((run(jit) for __ in range(_ROUNDS)),
+                   key=lambda leg: leg[2])
+
+    p_off, r_off, t_off = best(False)
     p_on, r_on, t_on = benchmark.pedantic(
-        run, args=(True,), rounds=1, iterations=1)
+        best, args=(True,), rounds=1, iterations=1)
 
     assert r_on.instructions == r_off.instructions
     assert r_on.reason == r_off.reason

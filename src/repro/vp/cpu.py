@@ -88,20 +88,19 @@ FAULT = "fault"       # unhandled guest fault with no trap handler
 # Cpu.run().
 RETAINT = "retaint"
 
-# Internal: wfi retired with an interrupt pending but globally disabled.
-# The interpreter loops return it so the JIT dispatcher can tell this
-# early quantum end apart from a genuinely exhausted budget; the
-# _run_plain/_run_dift wrappers translate it back to QUANTUM before it
-# reaches any caller.  Never escapes Cpu.run().
+# Internal: wfi retired with an interrupt pending but globally disabled,
+# which ends the quantum early so the kernel can advance time.  Every
+# loop above the interpreter (the JIT dispatcher, demand mode's driver,
+# the instruction-level profile) stops on it as on any other stop
+# reason; Cpu.run() and Cpu._run_observed() return it as QUANTUM.
 _IRQWAIT = "irqwait"
 
 # Internal: a taken backward branch landed on a compiled superblock
 # entry.  The interpreter returns early so the JIT dispatcher can run
 # the block immediately instead of waiting for a chunk boundary to line
 # up with the entry PC (which for many loop lengths never happens).
-# Only emitted while dispatching (the block dictionaries are bound in
-# the loop prologue exactly when a JitEngine is attached); swallowed by
-# JitEngine._dispatch / _interp_only.  Never escapes Cpu.run().
+# Only emitted by the loop the JIT serves (it binds the block cache in
+# its prologue); consumed by JitEngine._dispatch alone.
 _BLOCKHIT = "blockhit"
 
 # DIFT execution modes
@@ -490,7 +489,8 @@ class Cpu(Module):
             return 0, HALT
         if self._obs is not None:
             return self._run_observed(max_instructions)
-        return self._run_core(max_instructions)
+        executed, reason = self._run_core(max_instructions)
+        return executed, QUANTUM if reason == _IRQWAIT else reason
 
     def _run_core(self, n: int) -> Tuple[int, str]:
         """Pick the execution loop for the configured DIFT mode."""
@@ -548,6 +548,8 @@ class Cpu(Module):
         else:
             executed, reason = self._run_core(n)
         wall_us = (perf_counter() - started) * 1e6
+        if reason == _IRQWAIT:
+            reason = QUANTUM
         self._m_instructions.inc(executed)
         self._m_quanta.inc()
         self._m_quantum_wall.observe(wall_us)
@@ -601,34 +603,24 @@ class Cpu(Module):
 
     # ---- trace-dispatch wrappers ----------------------------------------- #
     #
-    # _run_plain/_run_dift keep their historical names and contracts —
-    # everything upstream (_run_core, _run_demand, tests) calls them —
-    # but are now thin prologues that route through the trace compiler
-    # when one is attached.  The interpreter bodies moved to
-    # _interp_plain/_interp_dift; the JIT dispatcher calls those
+    # _run_plain/_run_dift route through the trace compiler when it
+    # serves their loop: the plain loop runs only where it does (the VP,
+    # demand mode's clean path), the DIFT loop only in full mode
+    # (JitEngine.dift), since demand mode's DIFT loop keeps its liveness
+    # bookkeeping in the interpreter.  The dispatcher calls _interp_*
     # directly and interleaves compiled superblocks.
 
     def _run_plain(self, n: int) -> Tuple[int, str]:
         jit = self._jit
         if jit is not None:
             return jit.run_plain(n)
-        executed, reason = self._interp_plain(n)
-        if reason == _IRQWAIT:
-            reason = QUANTUM
-        return executed, reason
+        return self._interp_plain(n)
 
     def _run_dift(self, n: int) -> Tuple[int, str]:
         jit = self._jit
-        if jit is not None and self._live is None:
-            # DIFT blocks fuse full-mode propagation only; demand mode
-            # (dirty or disabled) needs the interpreter's liveness
-            # bookkeeping, and its clean phase runs plain blocks via
-            # _run_plain instead.
+        if jit is not None and jit.dift:
             return jit.run_dift(n)
-        executed, reason = self._interp_dift(n)
-        if reason == _IRQWAIT:
-            reason = QUANTUM
-        return executed, reason
+        return self._interp_dift(n)
 
     # ---- the interpreter template ---------------------------------------- #
     #
@@ -678,9 +670,9 @@ class Cpu(Module):
         # taken backward branches feed the hotness profiler and yield to
         # the dispatcher when they land on a compiled block entry.  SMC
         # invalidation is armed whenever a JIT is attached (demand-dirty
-        # stores must invalidate the clean path's plain blocks too); DIFT
-        # blocks fuse full-mode propagation only, so the DIFT loop
-        # profiles only outside demand mode.
+        # stores must invalidate the clean path's plain blocks too); only
+        # the loop the JIT serves profiles.  ``jit.dift is _DIFT`` is a
+        # run-time test made once per call, not a flag test to fold.
         jit = self._jit
         jcl = jit.code_lines if jit is not None else None
         # the JIT's MMIO profile: compiled code makes each access it
@@ -688,17 +680,11 @@ class Cpu(Module):
         jmmio = jit.mmio if jit is not None else None
         jhot = jready = jblocks = None
         jthreshold = 0
-        if _DIFT:
-            if jit is not None and live is None:
-                jhot = jit.hot_dift
-                jready = jit.ready_dift
-                jthreshold = jit.threshold
-                jblocks = jit.blocks_dift
-        elif jit is not None:
-            jhot = jit.hot_plain
-            jready = jit.ready_plain
+        if jit is not None and jit.dift is _DIFT:
+            jhot = jit.hot
+            jready = jit.ready
             jthreshold = jit.threshold
-            jblocks = jit.blocks_plain
+            jblocks = jit.blocks
 
         while executed < n:
             if self._take_irq:
@@ -1117,8 +1103,8 @@ class Cpu(Module):
                 if self.csr[CSR.MIP] & self.csr[CSR.MIE]:
                     # pending but globally disabled: end the quantum so
                     # the kernel can advance time.  _IRQWAIT (not
-                    # QUANTUM) so the JIT dispatcher knows the budget
-                    # was not exhausted; wrappers translate it back.
+                    # QUANTUM) so the loops above know the budget was
+                    # not exhausted; Cpu.run translates it back.
                     return executed, _IRQWAIT
                 return executed, WFI
 

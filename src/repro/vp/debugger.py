@@ -63,7 +63,7 @@ class Debugger:
         # compiler so compiled blocks cannot skip over breakpoints or
         # coalesce the per-step taint-watch windows
         if platform.jit is not None:
-            platform.jit.flush("debugger")
+            platform.jit.flush()
             self.cpu.attach_jit(None)
 
     # ------------------------------------------------------------------ #

@@ -3,17 +3,20 @@
 Layered on the interpreter without changing its semantics: hot runs of
 consecutive instructions (superblocks, which continue through forward
 branches) are detected by two cooperating profilers, compiled once into
-specialized Python closures, and dispatched from thin wrappers around
-the ``Cpu`` run loops.  Compiled and interpreted runs are required to be
-indistinguishable — same architectural state, same DIFT verdicts, same
-``repro.snapshot/1`` documents — which the differential suite
-(``tests/test_jit_diff.py``) enforces across the workload registry.
+specialized Python closures, and dispatched in place of the one
+interpreter loop the CPU runs: the DIFT loop in full mode, the plain
+loop on the plain VP and on demand mode's clean path.  Compiled and
+interpreted runs are required to be indistinguishable — same
+architectural state, same DIFT verdicts, same ``repro.snapshot/1``
+documents — which the differential suite (``tests/test_jit_diff.py``)
+enforces across the workload registry.
 
 Hotness is profiled on two channels:
 
 * the interpreter counts taken backward branches (the canonical loop
   header signal) and queues entries that cross the threshold on a
-  ``ready`` list the dispatcher drains;
+  ``ready`` list, which the dispatcher compiles when the interpreter
+  next hands back (at the end of its stretch, or at a block hit);
 * the dispatcher itself counts the PCs it returns to between blocks,
   which catches successors of compiled blocks (fall-through paths,
   call targets) without per-instruction overhead.
@@ -49,12 +52,10 @@ exit after one only where the interpreter would see a difference (see
 whose profiled loads have returned a tag compiles generic at once, and a
 clean block whose load returns one hands its entry to the generic twin.
 
-A demand-mode RETAINT handover needs no invalidation: clean-path
-(plain) blocks are simply not dispatched while the machine is dirty —
-``Cpu._run_dift`` only routes through the JIT when no
-:class:`~repro.dift.liveness.TaintLiveness` is attached — and the
-blocks themselves stay valid because code-page writes during the dirty
-phase still hit the interpreter's SMC hooks.
+A demand-mode RETAINT handover needs no invalidation: the engine serves
+the clean path's plain loop, so its blocks are simply not dispatched
+while the machine is dirty, and they stay valid because code-page
+writes during the dirty phase still hit the interpreter's SMC hooks.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.vp import csr as CSR
 from repro.vp import decode as D
-from repro.vp.cpu import _BLOCKHIT, _IRQWAIT, QUANTUM, RETAINT
+from repro.vp.cpu import _BLOCKHIT, QUANTUM, RETAINT
 from repro.vp.jit.builder import MAX_BLOCK_LEN, MIN_BLOCK_LEN, scan_superblock
 from repro.vp.jit.codegen import Superblock, compile_block, entry_regs
 
@@ -87,17 +88,14 @@ LINE_BLACKLIST_AFTER = 8
 class JitStats:
     """Cumulative counters exported as ``jit.*`` lazy gauges."""
 
-    __slots__ = ("compiled", "compile_failed", "invalidated_blocks",
-                 "invalidation_writes", "flushes", "dropped",
+    __slots__ = ("compiled", "invalidated_blocks", "flushes", "dropped",
                  "block_execs", "trace_instructions", "side_exits",
                  "smc_exits", "clean_execs", "generic_compiled",
                  "mmio_calls")
 
     def __init__(self) -> None:
         self.compiled = 0
-        self.compile_failed = 0
         self.invalidated_blocks = 0
-        self.invalidation_writes = 0
         self.flushes = 0
         self.dropped = 0
         self.block_execs = 0
@@ -115,12 +113,12 @@ class JitStats:
 class JitEngine:
     """Superblock cache + profiler + dispatcher for one :class:`Cpu`.
 
-    Two independent block caches are kept: *plain* blocks (no tag
-    bookkeeping — used by the plain VP and the demand-mode clean path)
-    and *dift* blocks (full mode only), each a clean or a generic
-    variant, a clean one holding its generic twin once compiled.  Both
-    caches share the ``code_lines`` set, so a store from either world
-    invalidates the other's blocks too.
+    The engine serves the one interpreter loop its CPU dispatches, fixed
+    here: the DIFT loop in full mode (``dift``), the plain loop on the
+    plain VP and on demand mode's clean path.  Its one block cache holds
+    that loop's blocks: *plain* ones (no tag bookkeeping), or in full
+    mode *dift* ones, each a clean or a generic variant, a clean one
+    holding its generic twin once compiled.
     """
 
     def __init__(self, cpu, threshold: int = DEFAULT_THRESHOLD):
@@ -128,17 +126,17 @@ class JitEngine:
             raise ValueError(f"jit threshold must be >= 1, got {threshold}")
         self.cpu = cpu
         self.threshold = threshold
-        self.chunk = DISPATCH_CHUNK
         self.stats = JitStats()
+        # DIFT blocks fuse full-mode propagation only: demand mode needs
+        # the DIFT loop's liveness bookkeeping, so there the engine serves
+        # the clean path's plain loop
+        self.dift = cpu.dift is not None and cpu._live is None
 
-        self.blocks_plain: Dict[int, Superblock] = {}
-        self.blocks_dift: Dict[int, Superblock] = {}
+        self.blocks: Dict[int, Superblock] = {}
         # entry pc -> execution count; -1 marks "never compile this"
-        self.hot_plain: Dict[int, int] = {}
-        self.hot_dift: Dict[int, int] = {}
+        self.hot: Dict[int, int] = {}
         # entries the interpreter's backward-branch profiler promoted
-        self.ready_plain: List[int] = []
-        self.ready_dift: List[int] = []
+        self.ready: List[int] = []
 
         # RAM-offset 16-byte lines containing compiled code.  Mutated
         # strictly in place: generated closures and the interpreter
@@ -159,46 +157,12 @@ class JitEngine:
     # ------------------------------------------------------------------ #
 
     def run_plain(self, n: int) -> Tuple[int, str]:
-        cpu = self.cpu
-        if cpu.regs[0]:
-            # generated code folds x0 reads to literal 0; a hand-crafted
-            # state violating the invariant must interpret (the
-            # interpreter *reads* regs[0] verbatim)
-            return self._interp_only(n, cpu._interp_plain)
-        return self._dispatch(n, cpu._interp_plain, self.blocks_plain,
-                              self.hot_plain, self.ready_plain,
-                              self._compile_plain)
+        return self._dispatch(n, self.cpu._interp_plain)
 
     def run_dift(self, n: int) -> Tuple[int, str]:
-        cpu = self.cpu
-        if cpu.regs[0] or cpu.tags[0] != cpu._bottom:
-            return self._interp_only(n, cpu._interp_dift)
-        return self._dispatch(n, cpu._interp_dift, self.blocks_dift,
-                              self.hot_dift, self.ready_dift,
-                              self._compile_dift)
-
-    @staticmethod
-    def _interp_only(n: int,
-                     interp: Callable[[int], Tuple[int, str]],
-                     ) -> Tuple[int, str]:
-        """Interpret ``n`` instructions, swallowing the internal
-        sentinels the interpreter emits for the dispatcher's benefit."""
-        executed = 0
-        reason = QUANTUM
-        while executed < n:
-            stepped, reason = interp(n - executed)
-            executed += stepped
-            if reason != _BLOCKHIT:
-                break
-            reason = QUANTUM
-        if reason == _IRQWAIT:
-            reason = QUANTUM
-        return executed, reason
+        return self._dispatch(n, self.cpu._interp_dift)
 
     def _dispatch(self, n: int, interp: Callable[[int], Tuple[int, str]],
-                  blocks: Dict[int, Superblock], hot: Dict[int, int],
-                  ready: List[int],
-                  compile_one: Callable[[int], Optional[Superblock]],
                   ) -> Tuple[int, str]:
         """Alternate compiled blocks and bounded interpreter stretches.
 
@@ -206,21 +170,31 @@ class JitEngine:
         and the interpreter's per-call bumps are rolled back, with one
         combined bump at dispatch exit — so a CSR instruction reading
         ``instret`` mid-quantum sees exactly what it sees under the
-        interpreter (the value at the last run-loop entry).
+        interpreter (the value at the last run-loop entry).  Stop reasons
+        pass up unchanged, except :data:`_BLOCKHIT`, which only tells
+        this loop to look up a block now.
         """
         cpu = self.cpu
         csr = cpu.csr
         stats = self.stats
         threshold = self.threshold
-        chunk = self.chunk
+        blocks = self.blocks
+        hot = self.hot
+        ready = self.ready
+        # generated code folds x0 reads to literal 0; a hand-crafted
+        # state violating the invariant must interpret (the interpreter
+        # *reads* regs[0] verbatim)
+        compiled = not cpu.regs[0] and (
+            not self.dift or cpu.tags[0] == cpu._bottom)
         executed = 0
         reason = QUANTUM
         while executed < n:
             remaining = n - executed
-            if remaining >= MIN_BLOCK_LEN and not cpu._take_irq:
+            if compiled and remaining >= MIN_BLOCK_LEN \
+                    and not cpu._take_irq:
                 if ready:
                     for entry in ready:
-                        if compile_one(entry) is None:
+                        if self._compile(entry) is None:
                             hot[entry] = -1
                     del ready[:]
                 pc = cpu.pc
@@ -233,7 +207,7 @@ class JitEngine:
                         c += 1
                         hot[pc] = c
                         if c >= threshold:
-                            blk = compile_one(pc)
+                            blk = self._compile(pc)
                             if blk is None:
                                 hot[pc] = -1
                 if blk is not None and blk.length <= remaining:
@@ -283,8 +257,8 @@ class JitEngine:
                         continue
                     # fall through to the interpreter for progress
             asked = n - executed
-            if asked > chunk:
-                asked = chunk
+            if asked > DISPATCH_CHUNK:
+                asked = DISPATCH_CHUNK
             stepped, reason = interp(asked)
             if stepped:
                 # roll back the interpreter's epilogue bump; one
@@ -295,18 +269,15 @@ class JitEngine:
             if reason == _BLOCKHIT:
                 # a taken backward branch landed on a compiled entry:
                 # loop straight back so the block runs now instead of
-                # waiting for a chunk boundary to line up with it
+                # waiting for a chunk boundary to line up with it (on
+                # the budget's last instruction it is just an exhausted
+                # quantum)
+                reason = QUANTUM
                 continue
             if reason != QUANTUM:
                 break
         csr.instret += executed
         csr.cycle += executed
-        if reason == _IRQWAIT or reason == _BLOCKHIT:
-            # wfi with a pending-but-disabled interrupt ends the quantum
-            # early, exactly as the interpreter's top-level return does;
-            # a block hit on the budget's last instruction is just an
-            # exhausted quantum
-            reason = QUANTUM
         return executed, reason
 
     def _twin(self, blk: Superblock) -> Superblock:
@@ -314,7 +285,7 @@ class JitEngine:
         needed.  The clean block just ran, so its fetch guard passed: its
         code tags still clear the fetch check and the twin compiles."""
         if blk.generic is None:
-            blk.generic = self._compile_block(*blk.scan, True, False)
+            blk.generic = self._compile_block(*blk.scan, False)
         return blk.generic
 
     def _go_generic(self, blk: Superblock) -> None:
@@ -322,7 +293,7 @@ class JitEngine:
         retired with it: from now on its entry runs the generic twin."""
         generic = self._twin(blk)
         self._drop(blk)
-        self._install(self.blocks_dift, generic)
+        self._install(generic)
 
     def _bus_fault(self) -> Optional[str]:
         """Kind 5: the transport call of the access at ``cpu.pc`` met a bus
@@ -338,22 +309,13 @@ class JitEngine:
     # compilation
     # ------------------------------------------------------------------ #
 
-    def _compile_plain(self, entry: int) -> Optional[Superblock]:
-        return self._compile(entry, self.blocks_plain, False)
-
-    def _compile_dift(self, entry: int) -> Optional[Superblock]:
-        return self._compile(entry, self.blocks_dift, True)
-
-    def _compile(self, entry: int, blocks: Dict[int, Superblock],
-                 dift: bool) -> Optional[Superblock]:
-        blk = blocks.get(entry)
+    def _compile(self, entry: int) -> Optional[Superblock]:
+        blk = self.blocks.get(entry)
         if blk is not None:
             return blk
-        instrs, terminated = scan_superblock(
-            self.cpu, entry, self.hot_dift if dift else self.hot_plain,
-            self.threshold)
+        instrs, terminated = scan_superblock(self.cpu, entry, self.hot,
+                                             self.threshold)
         if instrs is None:
-            self.stats.compile_failed += 1
             return None
         last_pc = instrs[-1][0]
         base = self.cpu.ram_base
@@ -361,31 +323,28 @@ class JitEngine:
         hi_line = (last_pc + 3 - base) >> 4
         no_compile = self._no_compile
         if any(line in no_compile for line in range(lo_line, hi_line + 1)):
-            self.stats.compile_failed += 1
             return None
         # a DIFT entry compiles clean if its entry guard passes now and
         # no transport call of it has returned a tag
         tags = self.cpu.tags
         bottom = self.cpu._bottom
         mmio = self.mmio
-        clean = (dift
+        clean = (self.dift
                  and all(tags[j] == bottom for j in entry_regs(instrs)[0])
                  and not any(mmio.get(pc) for pc, __ in instrs))
-        blk = self._compile_block(instrs, terminated, dift, clean)
+        blk = self._compile_block(instrs, terminated, clean)
         if blk is None:  # code tags that do not clear the fetch check
-            self.stats.compile_failed += 1
             return None
-        self._install(blocks, blk)
+        self._install(blk)
         return blk
 
-    def _install(self, blocks: Dict[int, Superblock],
-                 blk: Superblock) -> None:
-        blocks[blk.entry] = blk
+    def _install(self, blk: Superblock) -> None:
+        self.blocks[blk.entry] = blk
         for line in blk.lines:
             self.code_lines.add(line)
             self._line_blocks.setdefault(line, set()).add(blk)
 
-    def _compile_block(self, instrs, terminated: bool, dift: bool,
+    def _compile_block(self, instrs, terminated: bool,
                        clean: bool) -> Optional[Superblock]:
         """Compile one flavour of ``instrs`` and count it.
 
@@ -394,11 +353,11 @@ class JitEngine:
         block retires both.
         """
         blk = compile_block(self.cpu, self.code_lines, self.invalidate_write,
-                            instrs, terminated, dift, clean, self.mmio,
+                            instrs, terminated, self.dift, clean, self.mmio,
                             self.stats)
         if blk is not None:
             self.stats.compiled += 1
-            if dift and not clean:
+            if self.dift and not clean:
                 self.stats.generic_compiled += 1
         return blk
 
@@ -410,7 +369,6 @@ class JitEngine:
         """A store touched [offset, offset+size) and one of those lines
         holds compiled code.  Called from generated code and from the
         interpreter store paths."""
-        self.stats.invalidation_writes += 1
         lo = offset >> 4
         hi = (offset + size - 1) >> 4
         self._invalidate_line(lo)
@@ -431,7 +389,6 @@ class JitEngine:
         else:
             hits = [ln for ln in range(lo, hi + 1) if ln in code_lines]
         for line in hits:
-            self.stats.invalidation_writes += 1
             self._invalidate_line(line)
 
     def _invalidate_line(self, line: int) -> None:
@@ -447,11 +404,9 @@ class JitEngine:
             self.stats.invalidated_blocks += 1
 
     def _drop(self, blk: Superblock) -> None:
-        blocks = self.blocks_dift if blk.dift else self.blocks_plain
-        if blocks.get(blk.entry) is blk:
-            del blocks[blk.entry]
-        hot = self.hot_dift if blk.dift else self.hot_plain
-        hot.pop(blk.entry, None)
+        if self.blocks.get(blk.entry) is blk:
+            del self.blocks[blk.entry]
+        self.hot.pop(blk.entry, None)
         for line in blk.lines:
             owners = self._line_blocks.get(line)
             if owners is not None:
@@ -460,18 +415,15 @@ class JitEngine:
                     del self._line_blocks[line]
                     self.code_lines.discard(line)
 
-    def flush(self, reason: str = "") -> None:
+    def flush(self) -> None:
         """Discard every compiled block and all profiling state.
 
         Used on snapshot restore / program load (the trace cache is
         derived state, rebuilt by re-profiling) and on debugger attach
         (breakpoints need per-instruction visibility)."""
-        self.blocks_plain.clear()
-        self.blocks_dift.clear()
-        self.hot_plain.clear()
-        self.hot_dift.clear()
-        del self.ready_plain[:]
-        del self.ready_dift[:]
+        self.blocks.clear()
+        self.hot.clear()
+        del self.ready[:]
         self.code_lines.clear()
         self._line_blocks.clear()
         self._line_invalidations.clear()
@@ -485,7 +437,7 @@ class JitEngine:
 
     @property
     def live_blocks(self) -> int:
-        return len(self.blocks_plain) + len(self.blocks_dift)
+        return len(self.blocks)
 
     def trace_ratio(self) -> float:
         """Fraction of retired instructions executed from compiled code."""

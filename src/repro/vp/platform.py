@@ -474,7 +474,7 @@ class Platform:
         self.cpu.reset(program.entry)
         self.cpu.regs[2] = STACK_TOP  # sp
         if self.jit is not None:
-            self.jit.flush("load")
+            self.jit.flush()
 
     # ------------------------------------------------------------------ #
     # execution
@@ -742,7 +742,7 @@ class Platform:
             # the trace cache is host-side derived state and never
             # travels in snapshots; rebuild from scratch so a restored
             # run re-profiles against the restored RAM image
-            self.jit.flush("restore")
+            self.jit.flush()
 
     @classmethod
     def restore(cls, source, obs=None, program: Optional[Program] = None,

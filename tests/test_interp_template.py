@@ -33,14 +33,12 @@ _DIFT_LOCALS = {"tags", "lub", "flow", "mtags", "tags32", "emitq", "dirty",
 
 #: attribute and global names only the DIFT loop reads
 _DIFT_ATTRS = {"check_execution", "ram_tags", "tags32", "_emitq",
-               "dirty_pages", "fetch_req", "branch_req", "memaddr_req",
-               "hot_dift", "ready_dift", "blocks_dift"}
+               "dirty_pages", "fetch_req", "branch_req", "memaddr_req"}
 _DIFT_GLOBALS = {"EV_STEP", "EV_LOAD", "EV_STORE", "EV_MMIO_LOAD",
                  "EV_MMIO_STORE", "EV_FAULT_ACCESS", "SECURITY"}
 
 #: names only the plain loop uses: demand mode's RETAINT handovers
-_PLAIN_ATTRS = {"taint_introduced", "clean", "hot_plain", "ready_plain",
-                "blocks_plain"}
+_PLAIN_ATTRS = {"taint_introduced", "clean"}
 _PLAIN_GLOBALS = {"RETAINT"}
 
 #: the template's placeholders, each replaced before compiling

@@ -263,8 +263,7 @@ def _entry_block(platform, dift_mode: str, entry: int):
     """The compiled block at ``entry``: DIFT blocks in full mode, plain
     blocks on the plain VP and on demand mode's clean path."""
     jit = platform.jit
-    blocks = jit.blocks_dift if platform.cpu.dift is not None \
-        and dift_mode == "full" else jit.blocks_plain
+    blocks = jit.blocks
     return blocks.get(entry)
 
 

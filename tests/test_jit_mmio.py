@@ -291,7 +291,7 @@ def test_exception_before_the_first_transport_call(monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         platform.run(max_instructions=10_000)
     loop = program.symbol("loop")
-    blk = platform.jit.blocks_plain[loop]
+    blk = platform.jit.blocks[loop]
     assert platform.cpu.pc == loop
     assert platform.jit.stats.mmio_calls == 0
     assert "mr(" in blk.source
@@ -396,7 +396,7 @@ def test_tagged_load_in_a_clean_block():
     assert stats.clean_execs > 0
     assert stats.generic_compiled == 1
     assert stats.dropped == 0
-    assert not p_on.jit.blocks_dift[program.symbol("loop")].clean
+    assert not p_on.jit.blocks[program.symbol("loop")].clean
     assert p_on.cpu.tags[18] != p_on.cpu._bottom
     assert p_on.jit.trace_ratio() > 0.8
 

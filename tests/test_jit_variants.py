@@ -157,7 +157,7 @@ def test_register_written_first_sheds_its_tag():
         platform.uart.feed(b"K" * 40)
         result = platform.run(max_instructions=50_000)
         states.append(_final_state(platform, result))
-    work = platform.jit.blocks_dift[program.symbol("work")]
+    work = platform.jit.blocks[program.symbol("work")]
     assert work.clean and work.generic is None
     assert work.completes >= 10
     assert states[1] == states[0]
@@ -253,7 +253,7 @@ def test_cleared_code_tags_compile_and_guard(classes):
     program = _shape_program(_CODE_LOOP)
     p_on = _shape_pair(program, True, "full",
                        policy=_code_policy(program, classes))
-    blk = p_on.jit.blocks_dift[program.symbol("loop")]
+    blk = p_on.jit.blocks[program.symbol("loop")]
     assert blk.loop and blk.clean
     guard = ("mt.count(" if len(set(classes)) == 1 else "!= ct:")
     assert guard in blk.source
@@ -269,7 +269,7 @@ def _tag_write_run(program, jit, tag):
         engine_mode="raise", jit=jit))
     platform.load(program)
     platform.run(pause_at=4_000, max_instructions=50_000)
-    compiled = jit and program.symbol("loop") in platform.jit.blocks_dift
+    compiled = jit and program.symbol("loop") in platform.jit.blocks
     offset = program.symbol("loop") + 2 - platform.cpu.ram_base
     platform.memory.fill_tags(offset, 1, platform.engine.lattice.tag_of(tag))
     try:
