@@ -729,8 +729,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "bookkeeping while the machine holds no taint "
                         "(identical detections, lower overhead)")
     p.add_argument("--record-events", metavar="FILE",
-                   help="write the instruction event stream to FILE as "
-                        "a repro.dift.events/1 artifact for offline "
+                   help="write the waypoint event stream to FILE as a "
+                        "repro.dift.events/2 artifact for offline "
                         "re-analysis (implies --record; needs a policy "
                         "and --dift-mode full, no --jit)")
     p.add_argument("--jit", action="store_true",
@@ -973,7 +973,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "reanalyze",
-        help="replay a recorded repro.dift.events/1 stream offline")
+        help="replay a recorded repro.dift.events/2 stream offline")
     p.add_argument("stream", help="event-stream file from --record-events")
     p.add_argument("--policy", metavar="FILE",
                    help="JSON policy to re-analyze under (must share the "

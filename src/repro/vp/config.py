@@ -64,7 +64,7 @@ class PlatformConfig:
     #: host-side execution strategy, not a simulation parameter.
     jit: object = False
     #: Event-stream recording: a path the platform writes the
-    #: ``repro.dift.events/1`` stream to, or ``None``.  Excluded from
+    #: ``repro.dift.events/2`` stream to, or ``None``.  Excluded from
     #: serialization like ``obs``/``jit`` — a recorded and an unrecorded
     #: run are the same simulated machine (and the stream header itself
     #: must not embed the output path it is being written to).

@@ -56,11 +56,14 @@ from typing import Callable, Dict, Optional, Tuple
 
 from repro.dift.engine import DiftEngine
 from repro.dift.events import (
-    EV_FAULT_ACCESS,
+    EV_BRANCH,
+    EV_CODE,
+    EV_FAULT,
+    EV_JUMP,
     EV_LOAD,
     EV_MMIO_LOAD,
     EV_MMIO_STORE,
-    EV_STEP,
+    EV_STOP,
     EV_STORE,
     EV_TRAP,
 )
@@ -157,8 +160,10 @@ class Cpu(Module):
 
         # the queue events are emitted into: a plain list the platform
         # pumps into an EventWriter when a run records, None otherwise
-        # (emission disabled, zero overhead)
+        # (emission disabled, zero overhead); with it, the recorder's
+        # copy of the code image the offline monitor holds, as words
         self._emitq: Optional[list] = None
+        self._emitcode: Optional[memoryview] = None
 
         # DMI into RAM; set by the platform via attach_ram()
         self.ram: bytearray = bytearray(0)
@@ -256,9 +261,16 @@ class Cpu(Module):
         visibility)."""
         self._jit = jit
 
-    def set_event_queue(self, queue: Optional[list]) -> None:
-        """Install an event queue on the inline DIFT loop (recording)."""
+    def set_event_queue(self, queue: Optional[list],
+                        image: Optional[memoryview] = None) -> None:
+        """Install an event queue on the inline DIFT loop (recording).
+
+        ``image`` is the recorder's copy of the code image the offline
+        monitor holds, a word view over RAM's span: the loop emits a
+        code-word packet for, and copies, every fetched word it lacks.
+        """
         self._emitq = queue
+        self._emitcode = image
 
     def attach_obs(self, obs) -> None:
         """Attach an :class:`~repro.obs.Observability` sink.
@@ -383,15 +395,18 @@ class Cpu(Module):
         csr = self.csr
         bottom = self._bottom
         mtvec = csr[CSR.MTVEC]
-        if self._emitq is not None:
-            self._emitq.append((EV_TRAP, self.pc, cause))
+        emitq = self._emitq
         dift = self.dift
         if dift is not None and dift.branch_req is not None:
             handler_tag = _TRAP_TAG(csr)
             if not dift.flow[handler_tag][dift.branch_req]:
                 if not dift.check_execution(
                         "branch", handler_tag, dift.branch_req, self.pc):
+                    if emitq is not None:
+                        emitq.append((EV_STOP, self.pc, 1))
                     return False
+        if emitq is not None:
+            emitq.append((EV_TRAP, self.pc, cause, mtvec))
         csr[CSR.MEPC] = self.pc
         csr[CSR.MCAUSE] = cause
         csr[CSR.MTVAL] = tval
@@ -406,6 +421,8 @@ class Cpu(Module):
     def _fault(self, cause: int, tval: int) -> Optional[str]:
         """Synchronous fault: trap if a handler is installed, else stop;
         a vetoed trap entry stops with :data:`SECURITY`."""
+        if self._emitq is not None:
+            self._emitq.append((EV_FAULT, self.pc, cause))
         if self.csr[CSR.MTVEC]:
             return None if self._trap(cause, tval) else SECURITY
         self.halted = True
@@ -665,6 +682,7 @@ class Cpu(Module):
             memaddr_req = dift.memaddr_req
             # event-stream recording (None on un-recorded runs)
             emitq = self._emitq
+            rcode = self._emitcode
             dirty = live.dirty_pages if live is not None else None
         # trace compiler hooks: code-line stores invalidate superblocks,
         # taken backward branches feed the hotness profiler and yield to
@@ -708,8 +726,14 @@ class Cpu(Module):
                 pc = self.pc
                 continue
             off = pc - ram_base
+            word = ram32[off >> 2]
 
             if _DIFT:
+                if rcode is not None and rcode[off >> 2] != word:
+                    # code the monitor's image lacks (written since the
+                    # load): the replay decodes this word from now on
+                    rcode[off >> 2] = word
+                    emitq.append((EV_CODE, pc, word))
                 # --- fetch clearance (Section V-B2b) --- #
                 if fetch_req is not None:
                     tw = tags32[off >> 2]
@@ -720,16 +744,10 @@ class Cpu(Module):
                             if not dift.check_execution("fetch", itag,
                                                         fetch_req, pc):
                                 if emitq is not None:
-                                    # fetch-rejected instructions are
-                                    # never decoded, so the stream carries
-                                    # a bare step packet whatever the
-                                    # opcode
-                                    emitq.append((EV_STEP, pc,
-                                                  ram32[off >> 2]))
+                                    emitq.append((EV_STOP, pc, 0))
                                 reason = SECURITY
                                 break
 
-            word = ram32[off >> 2]
             d = cache.get(word)
             if d is None:
                 d = decode(word)
@@ -738,9 +756,6 @@ class Cpu(Module):
             op = d[0]
             executed += 1
             next_pc = pc + 4
-            if _DIFT:
-                if emitq is not None and (op <= D.BGEU or op > D.SW):
-                    emitq.append((EV_STEP, pc, word))
 
             if op <= D.BGEU:  # control transfer group (ids 0..9)
                 if op >= D.BEQ:
@@ -752,6 +767,8 @@ class Cpu(Module):
                                 self.pc = pc
                                 if not dift.check_execution(
                                         "branch", ctag, branch_req, pc):
+                                    if emitq is not None:
+                                        emitq.append((EV_STOP, pc, 0))
                                     reason = SECURITY
                                     break
                     a = regs[d[2]]
@@ -759,6 +776,9 @@ class Cpu(Module):
                     taken = _TAKEN(D.BEQ, D.BGEU, op, a, b)
                     if taken:
                         next_pc = (pc + d[4]) & _MASK32
+                        if _DIFT:
+                            if emitq is not None:
+                                emitq.append((EV_BRANCH, pc))
                         if jhot is not None and d[4] < 0:
                             # taken backward branch: canonical loop
                             # header — count it toward compilation
@@ -779,6 +799,9 @@ class Cpu(Module):
                         if _DIFT:
                             tags[d[1]] = _RD_TAG(D.JAL, bottom)
                     next_pc = (pc + d[4]) & _MASK32
+                    if _DIFT:
+                        if emitq is not None:
+                            emitq.append((EV_BRANCH, pc))
                     # backward jumps are loop closers; linking jumps are
                     # calls — both name stable, re-visited entry points
                     if jhot is not None and (d[4] < 0 or d[1]):
@@ -802,9 +825,14 @@ class Cpu(Module):
                             if not dift.check_execution(
                                     "branch", _CHECK_TAG(D.JALR, tags, d),
                                     branch_req, pc):
+                                if emitq is not None:
+                                    emitq.append((EV_STOP, pc, 0))
                                 reason = SECURITY
                                 break
                     target = (regs[d[2]] + d[4]) & 0xFFFFFFFE
+                    if _DIFT:
+                        if emitq is not None:
+                            emitq.append((EV_JUMP, pc, target))
                     if d[1]:
                         regs[d[1]] = next_pc
                         if _DIFT:
@@ -847,20 +875,13 @@ class Cpu(Module):
                                 "mem-addr", _CHECK_TAG(D.LB, D.LHU, tags, d),
                                 memaddr_req, pc):
                             if emitq is not None:
-                                # the stopped load's packet; out of RAM a
-                                # placeholder with a bottom payload tag
-                                emitq.append(
-                                    (EV_LOAD, pc, word, addr)
-                                    if ram_base <= addr
-                                    and addr + size <= ram_end
-                                    else (EV_MMIO_LOAD, pc, word, addr,
-                                          bottom))
+                                emitq.append((EV_STOP, pc, 0))
                             reason = SECURITY
                             break
                 if ram_base <= addr and addr + size <= ram_end:
                     if _DIFT:
                         if emitq is not None:
-                            emitq.append((EV_LOAD, pc, word, addr))
+                            emitq.append((EV_LOAD, pc, addr))
                     o = addr - ram_base
                     if op == D.LW:
                         if o & 3:
@@ -901,10 +922,6 @@ class Cpu(Module):
                         elif op == D.LH and value >= 0x8000:
                             value += 0xFFFF0000
                     except BusError:
-                        if _DIFT:
-                            if emitq is not None:
-                                emitq.append((EV_FAULT_ACCESS, pc, word,
-                                              addr))
                         stop = self._fault(CSR.CAUSE_LOAD_FAULT, addr)
                         if stop:
                             reason = stop
@@ -915,7 +932,7 @@ class Cpu(Module):
                         jmmio[pc] = t != bottom or jmmio.get(pc, False)
                     if _DIFT:
                         if emitq is not None:
-                            emitq.append((EV_MMIO_LOAD, pc, word, addr, t))
+                            emitq.append((EV_MMIO_LOAD, pc, addr, t))
                     elif live is not None and t != bottom:
                         # demand mode: a tainted peripheral read retires
                         # with its tag, then the quantum continues on the
@@ -944,10 +961,7 @@ class Cpu(Module):
                                 "mem-addr", _CHECK_TAG(D.SB, D.SW, tags, d),
                                 memaddr_req, pc):
                             if emitq is not None:
-                                emitq.append(
-                                    (EV_STORE if ram_base <= addr
-                                     and addr + size <= ram_end
-                                     else EV_MMIO_STORE, pc, word, addr))
+                                emitq.append((EV_STOP, pc, 0))
                             reason = SECURITY
                             break
                     t = _STORE_TAG(tags, d)
@@ -955,7 +969,7 @@ class Cpu(Module):
                 if ram_base <= addr and addr + size <= ram_end:
                     if _DIFT:
                         if emitq is not None:
-                            emitq.append((EV_STORE, pc, word, addr))
+                            emitq.append((EV_STORE, pc, addr))
                     o = addr - ram_base
                     if op == D.SW:
                         if o & 3:
@@ -993,7 +1007,7 @@ class Cpu(Module):
                             # emitted before the transaction so recorded
                             # sink checks (fired inside it) follow their
                             # cause
-                            emitq.append((EV_MMIO_STORE, pc, word, addr))
+                            emitq.append((EV_MMIO_STORE, pc, addr))
                     else:
                         t = bottom
                     try:
@@ -1074,6 +1088,9 @@ class Cpu(Module):
 
             elif op == D.EBREAK:
                 self.pc = pc
+                if _DIFT:
+                    if emitq is not None:
+                        emitq.append((EV_FAULT, pc, CSR.CAUSE_BREAKPOINT))
                 self.halted = True
                 csr.instret += executed
                 csr.cycle += executed
@@ -1088,6 +1105,8 @@ class Cpu(Module):
                             self.pc = pc
                             if not dift.check_execution(
                                     "branch", epc_tag, branch_req, pc):
+                                if emitq is not None:
+                                    emitq.append((EV_STOP, pc, 0))
                                 reason = SECURITY
                                 break
                 mstatus = csr[CSR.MSTATUS]
@@ -1095,6 +1114,9 @@ class Cpu(Module):
                 csr[CSR.MSTATUS] = mie | CSR.MSTATUS_MPIE
                 self._update_irq()
                 next_pc = csr[CSR.MEPC]
+                if _DIFT:
+                    if emitq is not None:
+                        emitq.append((EV_JUMP, pc, next_pc))
 
             elif op == D.WFI:
                 self.pc = next_pc

@@ -226,7 +226,6 @@ class JitEngine:
                     if kind == 0:
                         blk.completes += 1
                         continue
-                    blk.sidexits += 1
                     if kind == 2:
                         stats.smc_exits += 1
                         continue

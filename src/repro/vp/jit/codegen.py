@@ -145,8 +145,7 @@ class Superblock:
     """A compiled superblock plus its dispatch bookkeeping."""
 
     __slots__ = ("entry", "length", "dift", "clean", "loop", "fn", "lines",
-                 "source", "scan", "generic", "completes",
-                 "sidexits", "barren")
+                 "source", "scan", "generic", "completes", "barren")
 
     def __init__(self, entry: int, length: int, dift: bool, clean: bool,
                  loop: bool, fn, lines: Tuple[int, ...], source: str,
@@ -162,7 +161,6 @@ class Superblock:
         self.scan = scan       # (instrs, terminated), to compile a twin
         self.generic = None    # a clean block's generic twin, once compiled
         self.completes = 0     # exits with kind 0
-        self.sidexits = 0      # exits of every other kind
         self.barren = 0        # kind-1 exits short of MIN_BLOCK_LEN
 
     def __repr__(self) -> str:

@@ -23,6 +23,7 @@ exit code ``a0`` (other ecalls trap to ``mtvec`` if installed).
 
 from __future__ import annotations
 
+import mmap
 import time as _time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -31,6 +32,8 @@ from repro import state as state_mod
 from repro.asm.assembler import Program
 from repro.dift.engine import RECORD, DiftEngine, ViolationRecord
 from repro.dift.events import (
+    EV_IMAGE,
+    EV_QUANTUM,
     EV_SINK,
     EV_TAINT,
     EV_TAINT_FILL,
@@ -192,8 +195,11 @@ class Platform:
             # pumps into the writer per quantum; host-side tag writes
             # (loader classification, DMA) and peripheral checks join it
             # in order — wired before load() so the loader's writes are
-            # captured
-            self.cpu.set_event_queue([])
+            # captured.  The CPU also keeps the recorder's copy of the
+            # code image the monitor holds: an anonymous mapping, so
+            # only the pages load() and fetches touch are committed
+            self._code_copy = memoryview(mmap.mmap(-1, ram_size))
+            self.cpu.set_event_queue([], self._code_copy.cast("I"))
             self.memory.set_taint_listener(self._record_taint)
             self.engine.set_check_recorder(self._record_check)
 
@@ -470,6 +476,13 @@ class Platform:
     def load(self, program: Program) -> None:
         """Load a guest binary and reset the CPU to its entry point."""
         load_program(self.memory, program, RAM_BASE, self.engine)
+        if self._recorder is not None:
+            # the monitor rebuilds straight-line code from this image;
+            # the CPU emits each fetched word that differs from it
+            offset = program.base - RAM_BASE
+            self._code_copy[offset:offset + program.size] = program.image
+            self.cpu._emitq.append((EV_IMAGE, program.entry, offset,
+                                    bytes(program.image)))
         self.program = program
         self.cpu.reset(program.entry)
         self.cpu.regs[2] = STACK_TOP  # sp
@@ -509,33 +522,37 @@ class Platform:
                 self.stop_reason = cpu_mod.HALT
                 self.kernel.stop()
                 return
+            quantum = cpu.quantum
+            park = ""
             if (self._pause_at is not None
                     and self.total_instructions >= self._pause_at):
-                # natural-boundary pause (snapshot point): stop the
-                # kernel and park on a never-notified event; quantum
-                # sizes stay untouched so a resumed run interleaves
-                # exactly like an uninterrupted one
+                # natural-boundary pause (snapshot point); quantum sizes
+                # stay untouched so a resumed run interleaves exactly
+                # like an uninterrupted one
+                park = "paused"
+            elif self._instr_budget is not None:
+                remaining = self._instr_budget - self.total_instructions
+                if remaining <= 0:
+                    park = "budget"
+                quantum = min(quantum, remaining)
+            if park:
+                # stop the kernel and park on a never-notified event,
+                # so a later run() continues from here
                 self._paused = True
-                self.stop_reason = "paused"
+                self.stop_reason = park
                 self.kernel.stop()
                 yield self._resume_event
                 self._paused = False
                 continue
-            quantum = cpu.quantum
-            if self._instr_budget is not None:
-                remaining = self._instr_budget - self.total_instructions
-                if remaining <= 0:
-                    self.stop_reason = "budget"
-                    self.kernel.stop()
-                    return
-                quantum = min(quantum, remaining)
             executed, reason = cpu.run(quantum)
             self.total_instructions += executed
             if self._recorder is not None:
+                # the quantum's packets, then where the CPU stands: the
+                # host-side packets that follow happened here
                 queue = cpu._emitq
-                if queue:
-                    self._recorder.write_many(queue)
-                    del queue[:]
+                queue.append((EV_QUANTUM, cpu.pc))
+                self._recorder.write_many(queue)
+                del queue[:]
             if reason == cpu_mod.WFI:
                 self._await_irq = True
             elif reason in (cpu_mod.HALT, cpu_mod.EBREAK, cpu_mod.FAULT,
@@ -560,9 +577,9 @@ class Platform:
         self._instr_budget = max_instructions
         self._pause_at = pause_at
         if self._paused:
-            # continue a paused simulation: the parked CPU process must
-            # run before the processes stop() put back, or evaluation
-            # order diverges from an uninterrupted run
+            # continue a paused or budget-stopped simulation: the parked
+            # CPU process must run before the processes stop() put back,
+            # or evaluation order diverges from an uninterrupted run
             self.stop_reason = ""
             self.kernel.clear_stop()
             self.kernel.make_runnable_front(self._cpu_proc)
@@ -574,8 +591,9 @@ class Platform:
         if self.stop_reason in (cpu_mod.HALT, cpu_mod.EBREAK,
                                 cpu_mod.FAULT, cpu_mod.SECURITY):
             # the guest cannot continue: seal the stream now.  Paused /
-            # budget / time-limit stops leave it open for further runs
-            # (call finish_recording() explicitly when done).
+            # budget / time-limit stops leave the run and its stream
+            # open for further runs (call finish_recording() explicitly
+            # when done).
             self.finish_recording()
         if self.obs is not None:
             metrics = self.obs.metrics
@@ -596,8 +614,9 @@ class Platform:
     def finish_recording(self) -> Optional[str]:
         """Flush pending events and seal the recorded stream (idempotent).
 
-        Writes the terminal ``EV_END`` packet, making the stream a valid
-        ``repro.dift.events/1`` artifact.  Called automatically when a
+        Writes the terminal ``EV_END`` packet with the CPU's pc and the
+        instructions retired, making the stream a valid
+        ``repro.dift.events/2`` artifact.  Called automatically when a
         run ends terminally (halt/ebreak/fault/security); call it
         explicitly after a budget, pause or time-limit stop once no
         further quanta will run.  Returns the stream path, or ``None``
@@ -611,7 +630,7 @@ class Platform:
             if queue:
                 recorder.write_many(queue)
                 del queue[:]
-            recorder.close()
+            recorder.close(self.cpu.pc, self.total_instructions)
         return recorder.path
 
     # ------------------------------------------------------------------ #
@@ -641,7 +660,7 @@ class Platform:
         modules = {
             "platform": {
                 "total_instructions": self.total_instructions,
-                "stop_reason": ("" if self.stop_reason == "paused"
+                "stop_reason": ("" if self._paused
                                 else self.stop_reason),
                 "await_irq": self._await_irq,
                 "stop_pending": self._stop_pending,

@@ -1,19 +1,22 @@
 """Differential tests: offline re-analysis must reproduce the live run.
 
 Every scenario runs once under inline full DIFT while recording its
-``repro.dift.events/1`` stream, then replays the stream offline with
+``repro.dift.events/2`` stream, then replays the stream offline with
 :func:`reanalyze_stream`.  The replay must end in exactly the live
 run's DIFT state: the same violation records (trap PCs included),
-register tags, CSR tag values and RAM tag image.  The scenarios
-cover the immobilizer case study, the applicable Wilander–Kamkar
-attacks, the Table II workloads and the committed attack corpus.
-The Table II workloads also check that recording is invisible: a
-recording run ends in the same architectural and tag state as an
-inline full run that records nothing.  Crafted streams check that a
-packet outside RAM or a header with a bad RAM geometry is rejected
-with an exact error, and with exit 2 from ``repro reanalyze``, as is
-a packet tag outside the recorded lattice or a header policy that does
-not parse.
+register tags, CSR tag values, RAM tag image and retired-instruction
+count.  The scenarios cover the immobilizer case study, the applicable
+Wilander–Kamkar attacks, the Table II workloads and the committed
+attack corpus.  The Table II workloads also check that recording is
+invisible: a recording run ends in the same architectural and tag
+state as an inline full run that records nothing.  A self-modifying
+guest checks that a fetched word the image lacks travels in the stream,
+and two budgeted runs that one recording spans replay as one.  Crafted
+streams check that a packet outside RAM, a walk the program cannot
+take, an end packet the replay disagrees with or a header with a bad RAM
+geometry is rejected with an exact error, and with exit 2 from ``repro
+reanalyze``, as is a packet tag outside the recorded lattice or a
+header policy that does not parse.
 """
 
 import hashlib
@@ -27,16 +30,19 @@ import pytest
 
 from repro.asm import assemble
 from repro.bench.table1 import code_injection_policy
-from repro.bench.workloads import TABLE2_ORDER, WORKLOADS
+from repro.bench.workloads import TABLE2_ORDER, WORKLOADS, benchmark_policy
 from repro.casestudy import immobilizer as cs
 from repro.cli import main
 from repro.dift.engine import RECORD
 from repro.dift.events import (
+    EV_BRANCH,
+    EV_CODE,
     EV_END,
+    EV_IMAGE,
+    EV_JUMP,
     EV_LOAD,
     EV_MMIO_LOAD,
     EV_SINK,
-    EV_STEP,
     EV_STORE,
     EV_TAINT,
     EV_TAINT_FILL,
@@ -45,13 +51,14 @@ from repro.dift.events import (
     encode_event,
     encode_header,
     make_header,
+    read_stream,
 )
 from repro.dift.monitor import reanalyze_stream
 from repro.gen.corpus import corpus_files, load_case
 from repro.policy import SecurityPolicy, builders
 from repro.policy.serialize import policy_to_dict
 from repro.sw import immobilizer as immo_sw
-from repro.sw import runtime, wk_suite
+from repro.sw import qsort, runtime, wk_suite
 from repro.vp.config import MAX_RAM_SIZE, PlatformConfig
 from repro.vp.platform import Platform
 
@@ -93,8 +100,8 @@ def _assert_reanalysis_matches(platform, result, path, what):
     for key in live:
         assert replayed[key] == live[key], \
             f"{what}: re-analysis diverged from the live run on {key!r}"
-    # one packet per retired instruction: the replay saw the whole run
-    assert offline.events >= result.instructions
+    # the replay walked every instruction the live run retired
+    assert monitor.instructions == result.instructions
 
 
 # --------------------------------------------------------------------- #
@@ -237,8 +244,8 @@ _TAINTED_BASE = {
 
 @pytest.mark.parametrize("access", sorted(_TAINTED_BASE))
 def test_memaddr_violation_keeps_its_packet(access, tmp_path):
-    """The stopped access still records its packet (out of RAM, an MMIO
-    placeholder), so the replay stops on the same violation."""
+    """The stopped access records a ``stop`` packet at its pc, RAM or
+    MMIO alike, so the replay stops on the same violation."""
     base, body = _TAINTED_BASE[access]
     program = assemble(runtime.program(f"""
 .text
@@ -269,8 +276,8 @@ buf: .word 0
 
 def _record_fetch_refused_store(path):
     """A guest jumps into a ``sw`` whose word is HC: the fetch clearance
-    refuses it, so the stream ends with a bare ``step`` packet that
-    carries the store and no address."""
+    refuses it, so the stream ends with a ``stop`` packet at the store,
+    which carries no address."""
     program = assemble(runtime.program("""
 .text
 main:
@@ -320,18 +327,130 @@ def test_reanalysis_past_a_fetch_refusal(tmp_path, capsys):
     assert "mem-addr" in capsys.readouterr().out
 
 
-def test_addressless_access_packet_elsewhere_rejected(tmp_path, capsys):
-    """A ``step`` packet carrying a store is the record of a refused
-    fetch only as the stream's last instruction packet."""
-    path = str(tmp_path / "crafted.ev")
-    writer = EventWriter(path, _crafted_header())
-    writer.write_many([(EV_STEP, _PC, _SW), (EV_STEP, _PC + 4, _NOP)])
-    writer.close()
-    message = "step packet at pc=0x00001100 carries a store opcode"
-    with pytest.raises(ValueError, match=re.escape(message)):
-        reanalyze_stream(path)
-    assert main(["reanalyze", path]) == 2
-    assert message in capsys.readouterr().err
+# --------------------------------------------------------------------- #
+# code the image lacks, and a recording spanning two budgeted runs
+# --------------------------------------------------------------------- #
+
+_PATCH = assemble(".text\nmv t2, t1\n").word_at(0)
+
+
+def _record_smc(path, skip_compare=False):
+    """A guest stores an instruction word over a ``nop`` and jumps to it:
+    the new word copies a classified register.  No fetch or branch
+    clearance, so only the word itself tells the replay what ran."""
+    program = assemble(runtime.program(f"""
+.text
+main:
+    la   t0, key
+    lw   t1, 0(t0)              # HC
+    la   t3, patch
+    lw   t5, 0(t3)
+    la   t4, slot
+    sw   t5, 0(t4)              # mv t2, t1 over the nop
+    j    slot
+slot:
+    nop
+    li   a0, 0
+    ret
+.data
+.align 4
+key: .word 0x41
+patch: .word {_PATCH:#x}
+""", include_lib=False))
+    key = program.symbol("key")
+    policy = SecurityPolicy(builders.ifp1(), default_class=builders.LC)
+    policy.classify_region(key, key + 4, builders.HC)
+    platform = Platform.from_config(PlatformConfig(
+        policy=policy, engine_mode=RECORD, record_events=path))
+    if skip_compare:
+        # a recorder that never compares fetched words with its copy
+        platform.cpu._emitcode = None
+    platform.load(program)
+    result = platform.run(max_instructions=5_000)
+    assert result.reason == "halt"
+    assert platform.cpu.tags[7] == policy.tag_of(builders.HC)  # t2
+    return platform, result, program.symbol("slot")
+
+
+def test_self_modified_code_replays(tmp_path):
+    path = str(tmp_path / "run.ev")
+    platform, result, slot = _record_smc(path)
+    _assert_reanalysis_matches(platform, result, path, "smc")
+    assert (EV_CODE, slot, _PATCH) in read_stream(path)[1]
+
+
+def test_a_recorder_without_the_code_compare_diverges(tmp_path):
+    path = str(tmp_path / "run.ev")
+    platform, result, __ = _record_smc(path, skip_compare=True)
+    with pytest.raises(AssertionError, match="reg_tags"):
+        _assert_reanalysis_matches(platform, result, path, "smc")
+
+
+def test_a_recording_spans_two_budgeted_runs(tmp_path):
+    """A budget stop parks the CPU: the next run continues where it
+    stopped (budgets count from the platform's first instruction), and
+    the stream recorded across both runs replays as one."""
+    def platform_for(path=None):
+        program = qsort.build(n=50, seed=1)
+        platform = Platform.from_config(PlatformConfig(
+            policy=benchmark_policy(), engine_mode=RECORD,
+            record_events=path))
+        platform.load(program)
+        return platform
+
+    straight = platform_for()
+    once = straight.run(max_instructions=4_000)
+    path = str(tmp_path / "run.ev")
+    split = platform_for(path)
+    first = split.run(max_instructions=2_000)
+    assert (first.reason, first.instructions) == ("budget", 2_000)
+    second = split.run(max_instructions=4_000)
+    assert (second.reason, second.instructions) == ("budget", 4_000)
+    assert once.instructions == 4_000
+    assert split.cpu.pc == straight.cpu.pc
+    assert split.cpu.regs == straight.cpu.regs
+    assert split.kernel.now == straight.kernel.now
+    split.finish_recording()
+    _assert_reanalysis_matches(split, second, path, "two budgeted runs")
+
+
+# --------------------------------------------------------------------- #
+# a recorded end packet the replay disagrees with
+# --------------------------------------------------------------------- #
+
+@pytest.mark.parametrize("pc_delta,count_delta", [
+    (0, 1), (0, -1), (-4, 0), (4, 0)],
+    ids=["count-high", "count-low", "pc-behind", "pc-ahead"])
+def test_end_packet_disagreeing_with_the_replay(pc_delta, count_delta,
+                                                tmp_path, capsys):
+    """EV_END carries the final pc and the retired-instruction count;
+    a replay ending elsewhere is rejected at the packet's offset."""
+    path = str(tmp_path / "smc.ev")
+    platform, result, __ = _record_smc(path)
+    pc, count = platform.cpu.pc, result.instructions
+    with open(path, "rb") as handle:
+        blob = handle.read()
+    end = len(blob) - len(encode_event((EV_END, 0, 0)))
+    assert read_stream(path)[1][-1] == (EV_END, pc, count)
+    crafted = str(tmp_path / "crafted.ev")
+    with open(crafted, "wb") as handle:
+        handle.write(blob[:end] + encode_event(
+            (EV_END, pc + pc_delta, count + count_delta)))
+    messages = {
+        "count": f"end packet counts {count + count_delta} instructions, "
+                 f"the replay {count}",
+        "behind": f"end packet at pc={pc - 4:#010x}: the replay stands at "
+                  f"pc={pc:#010x}",
+        # the walk goes on past the halting ecall
+        "ahead": f"end packet at pc={pc + 4:#010x}",
+    }
+    key = ("count" if count_delta else "behind" if pc_delta < 0
+           else "ahead")
+    with pytest.raises(StreamError, match=re.escape(messages[key])) as err:
+        reanalyze_stream(crafted)
+    assert err.value.offset == end
+    assert main(["reanalyze", crafted]) == 2
+    assert f"byte offset {end}" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------- #
@@ -426,26 +545,40 @@ _PC = _RAM_BASE + 0x100
 _RAM_END = _RAM_BASE + _RAM_SIZE
 
 
+def _image(*words, entry=_PC - 4):
+    """An image packet: ``words`` from ``entry``, where the walk starts."""
+    code = b"".join(word.to_bytes(4, "little") for word in words)
+    return (EV_IMAGE, entry, entry - _RAM_BASE, code)
+
+
+def _write_crafted(path, events):
+    writer = EventWriter(path, _crafted_header())
+    writer.write_many(events)
+    writer.close()
+    return len(encode_header(_crafted_header()))
+
+
 @pytest.mark.parametrize("event,message", [
-    ((EV_LOAD, _PC, _LW, 0x10),
+    ((EV_LOAD, _PC, 0x10),
      "load packet at pc=0x00001100 addresses 0x00000010, outside RAM"),
-    ((EV_LOAD, _PC, _LW, _RAM_END - 2),
+    ((EV_LOAD, _PC, _RAM_END - 2),
      "load packet at pc=0x00001100 addresses 0x00004ffe, outside RAM"),
-    ((EV_STORE, _PC, _SW, 0x10),
+    ((EV_STORE, _PC, 0x10),
      "store packet at pc=0x00001100 addresses 0x00000010, outside RAM"),
-    ((EV_STORE, _PC, _SW, _RAM_END),
+    ((EV_STORE, _PC, _RAM_END),
      "store packet at pc=0x00001100 addresses 0x00005000, outside RAM"),
-    ((EV_STEP, 0x10, _NOP),
-     "step packet at pc=0x00000010 fetches outside RAM"),
+    ((EV_BRANCH, 0x10),
+     "branch packet at pc=0x00000010 fetches outside RAM"),
     ((EV_TAINT_FILL, _RAM_SIZE - 2, 4, 1),
      "taint-fill packet writes RAM offsets [0x3ffe, 0x4002), outside"),
 ], ids=["load-below", "load-past-end", "store-below", "store-past-end",
         "fetch-below", "taint-past-end"])
 def test_out_of_ram_packets_rejected(event, message, tmp_path, capsys):
     path = str(tmp_path / "crafted.ev")
-    writer = EventWriter(path, _crafted_header())
-    writer.write_many([(EV_STEP, _PC - 4, _NOP), event])
-    writer.close()
+    word = _SW if event[0] == EV_STORE else _LW
+    image = ((EV_IMAGE, 0x10, 0, b"") if event[0] == EV_BRANCH
+             else _image(_NOP, word))
+    _write_crafted(path, [image, event])
     with pytest.raises(ValueError, match=re.escape(message)):
         reanalyze_stream(path)
     assert main(["reanalyze", path]) == 2
@@ -471,7 +604,7 @@ def test_bad_stream_geometry_rejected(ram_size, ram_base, field, tmp_path,
     header["config"]["ram_size"] = ram_size
     with open(path, "wb") as handle:
         handle.write(encode_header(header))
-        handle.write(encode_event((EV_END, 0)))
+        handle.write(encode_event((EV_END, 0, 0)))
     with pytest.raises(StreamError, match=field) as err:
         reanalyze_stream(path)
     assert err.value.offset == 0
@@ -479,12 +612,54 @@ def test_bad_stream_geometry_rejected(ram_size, ram_base, field, tmp_path,
     assert field in capsys.readouterr().err
 
 
+def _assert_walk_rejected(path, packets, start, message, capsys):
+    with pytest.raises(StreamError, match=re.escape(message)) as err:
+        reanalyze_stream(path)
+    assert err.value.offset == start + sum(
+        len(encode_event(event)) for event in packets[:-1])
+    assert main(["reanalyze", path]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_addressless_access_packet_elsewhere_rejected(tmp_path, capsys):
+    """An access with no address packet is the record of a refused
+    check only where a stop packet names it (see the fetch-refused store
+    above); a walk that passes one anywhere else is rejected at the
+    offset of the packet it walks to."""
+    path = str(tmp_path / "crafted.ev")
+    packets = [_image(_NOP, _SW, _NOP), (EV_BRANCH, _PC + 4)]
+    start = _write_crafted(path, packets)
+    _assert_walk_rejected(
+        path, packets, start,
+        "branch packet at pc=0x00001104: the walk passes the sw at "
+        "pc=0x00001100, which left no packet", capsys)
+
+
+@pytest.mark.parametrize("events,message", [
+    ([(EV_STORE, _PC, 0x2000), (EV_LOAD, _PC - 4, 0x2000)],
+     "load packet at pc=0x000010fc: the replay stands at pc=0x00001104"),
+    ([(EV_LOAD, _PC, 0x2000)],
+     "load packet at pc=0x00001100 meets sw"),
+    ([(EV_STORE, _PC, 0x2000), (EV_JUMP, _PC + 4, _PC)],
+     "jump packet at pc=0x00001104 meets addi"),
+], ids=["backwards", "wrong-access", "not-a-jump"])
+def test_walk_the_program_cannot_take_rejected(events, message, tmp_path,
+                                                capsys):
+    """Each packet names the pc the walk goes to: a walk backwards, or
+    to an instruction the packet cannot be about, is rejected at the
+    packet's offset."""
+    path = str(tmp_path / "crafted.ev")
+    packets = [_image(_NOP, _SW, _NOP)] + events
+    start = _write_crafted(path, packets)
+    _assert_walk_rejected(path, packets, start, message, capsys)
+
+
 #: a tag no class of the crafted header's 4-class lattice owns
 _BAD_TAG = 200
 
 
 @pytest.mark.parametrize("event,message", [
-    ((EV_MMIO_LOAD, _PC, _LW, 0x1000_0000, _BAD_TAG),
+    ((EV_MMIO_LOAD, _PC, 0x1000_0000, _BAD_TAG),
      "mmio-load packet carries tag 200, outside the recorded lattice's "
      "tags 0..3"),
     ((EV_TAINT_FILL, 0, 4, _BAD_TAG),
@@ -499,9 +674,7 @@ _BAD_TAG = 200
         "sink-required"])
 def test_out_of_lattice_tags_rejected(event, message, tmp_path, capsys):
     path = str(tmp_path / "crafted.ev")
-    writer = EventWriter(path, _crafted_header())
-    writer.write_many([(EV_STEP, _PC - 4, _NOP), event])
-    writer.close()
+    _write_crafted(path, [_image(_NOP, _LW), event])
     with pytest.raises(ValueError, match=re.escape(message)):
         reanalyze_stream(path)
     assert main(["reanalyze", path]) == 2
@@ -518,7 +691,7 @@ def test_unparsable_header_policy_rejected(policy, tmp_path, capsys):
     header["config"]["policy"] = policy
     with open(path, "wb") as handle:
         handle.write(encode_header(header))
-        handle.write(encode_event((EV_END, 0)))
+        handle.write(encode_event((EV_END, 0, 0)))
     with pytest.raises(StreamError, match=r"config\.policy") as err:
         reanalyze_stream(path)
     assert err.value.offset == 0
@@ -534,22 +707,24 @@ def _resident_bytes():
 @pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
                     reason="reads the resident set from /proc/self/statm")
 def test_largest_ram_replay_commits_only_touched_pages(tmp_path):
-    """With a bottom fill the RAM tag shadow's mapping starts untouched:
-    a three-packet replay against the largest RAM commits the pages it
-    touches, where a ``bytearray`` shadow would add 32 MiB."""
+    """With a bottom fill the RAM tag shadow's and the code image's
+    mappings start untouched: a three-instruction replay against the
+    largest RAM commits the pages it touches, where ``bytearray`` copies
+    would add 32 MiB each."""
     policy = SecurityPolicy(builders.ifp1(), default_class=builders.LC)
     header = make_header(PlatformConfig(policy=policy,
                                         ram_size=MAX_RAM_SIZE),
                          extra={"ram_base": 0})
     path = str(tmp_path / "crafted.ev")
     writer = EventWriter(path, header)
-    writer.write_many([(EV_STEP, 0x100, _NOP),
-                       (EV_STORE, 0x104, _SW, MAX_RAM_SIZE - 4),
-                       (EV_LOAD, 0x108, _LW, MAX_RAM_SIZE - 4)])
-    writer.close()
+    code = b"".join(word.to_bytes(4, "little") for word in (_NOP, _SW, _LW))
+    writer.write_many([(EV_IMAGE, 0x100, 0x100, code),
+                       (EV_STORE, 0x104, MAX_RAM_SIZE - 4),
+                       (EV_LOAD, 0x108, MAX_RAM_SIZE - 4)])
+    writer.close(0x10C, 3)
     reanalyze_stream(path)  # imports and first-call allocations
     before = _resident_bytes()
     offline = reanalyze_stream(path)
     grown = _resident_bytes() - before
-    assert offline.monitor.events_consumed == 3
+    assert offline.monitor.instructions == 3
     assert grown < 1 << 20, f"replay grew the resident set by {grown} bytes"

@@ -28,14 +28,16 @@ from repro.vp import cpu as cpu_module
 from repro.vp.cpu import Cpu
 
 #: locals that exist only in the DIFT loop
-_DIFT_LOCALS = {"tags", "lub", "flow", "mtags", "tags32", "emitq", "dirty",
-                "fetch_req", "branch_req", "memaddr_req"}
+_DIFT_LOCALS = {"tags", "lub", "flow", "mtags", "tags32", "emitq", "rcode",
+                "dirty", "fetch_req", "branch_req", "memaddr_req"}
 
 #: attribute and global names only the DIFT loop reads
 _DIFT_ATTRS = {"check_execution", "ram_tags", "tags32", "_emitq",
-               "dirty_pages", "fetch_req", "branch_req", "memaddr_req"}
-_DIFT_GLOBALS = {"EV_STEP", "EV_LOAD", "EV_STORE", "EV_MMIO_LOAD",
-                 "EV_MMIO_STORE", "EV_FAULT_ACCESS", "SECURITY"}
+               "_emitcode", "dirty_pages", "fetch_req", "branch_req",
+               "memaddr_req"}
+_DIFT_GLOBALS = {"EV_LOAD", "EV_STORE", "EV_MMIO_LOAD", "EV_MMIO_STORE",
+                 "EV_BRANCH", "EV_JUMP", "EV_FAULT", "EV_STOP", "EV_CODE",
+                 "SECURITY"}
 
 #: names only the plain loop uses: demand mode's RETAINT handovers
 _PLAIN_ATTRS = {"taint_introduced", "clean"}
