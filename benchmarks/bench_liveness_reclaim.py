@@ -15,7 +15,7 @@ from repro.dift.liveness import PAGE_SIZE, TaintLiveness
 
 class _ChurnCsr:
     def tag_values(self):
-        return []
+        return {}
 
 
 class _ChurnCpu:

@@ -36,8 +36,9 @@ Invalidation rules — events that clear ``clean``:
 
 If the policy's *default* memory classification is not the lattice
 bottom the machine can never become clean (4 MiB of non-bottom tags is
-the steady state); :meth:`disable` pins the engine to the full path so
-demand mode silently equals full mode — zero drift by construction.
+the steady state), so the platform builds a full-mode CPU with no
+:class:`TaintLiveness` for such a demand configuration: the mode that
+runs is settled at construction, never switched off mid-run.
 """
 
 from __future__ import annotations
@@ -59,8 +60,8 @@ class TaintLiveness:
     __slots__ = (
         "bottom", "clean", "dirty_pages", "fast_steps", "slow_steps",
         "reclaims", "reclaim_attempts", "pages_scanned",
-        "reclaim_skipped_pages", "disabled", "disabled_reason",
-        "_backoff", "_quanta_since_check", "_dirty_high_water",
+        "reclaim_skipped_pages", "_backoff", "_quanta_since_check",
+        "_dirty_high_water",
     )
 
     def __init__(self, bottom_tag: int):
@@ -82,8 +83,6 @@ class TaintLiveness:
         #: page scans avoided because an earlier reclaim pruned the page
         #: after verifying it clean (the summary layer's win, cumulative)
         self.reclaim_skipped_pages = 0
-        self.disabled = False
-        self.disabled_reason = ""
         self._backoff = 1
         self._quanta_since_check = 0
         # Peak dirty-set size since the machine was last clean: the
@@ -93,12 +92,6 @@ class TaintLiveness:
     # ------------------------------------------------------------------ #
     # invalidation (clean -> tainted)
     # ------------------------------------------------------------------ #
-
-    def disable(self, reason: str) -> None:
-        """Pin the machine to the full path (demand == full, no drift)."""
-        self.disabled = True
-        self.disabled_reason = reason
-        self.clean = False
 
     def taint_introduced(self) -> None:
         """A non-bottom tag entered a register (e.g. via an MMIO read)."""
@@ -128,8 +121,8 @@ class TaintLiveness:
 
     def maybe_reclaim(self, cpu) -> bool:
         """Back-off-gated reclaim attempt; call once per dirty quantum."""
-        if self.disabled or self.clean:
-            return self.clean
+        if self.clean:
+            return True
         self._quanta_since_check += 1
         if self._quanta_since_check < self._backoff:
             return False
@@ -154,14 +147,12 @@ class TaintLiveness:
         that are *actually* tainted, not to every page ever dirtied —
         ``reclaim_skipped_pages`` counts the avoided rescans.
         """
-        if self.disabled:
-            return False
         self.reclaim_attempts += 1
         bottom = self.bottom
         for tag in cpu.tags:
             if tag != bottom:
                 return False
-        for tag in cpu.csr.tag_values():
+        for tag in cpu.csr.tag_values().values():
             if tag != bottom:
                 return False
         mtags = cpu.ram_tags
@@ -207,8 +198,6 @@ class TaintLiveness:
             "reclaim_attempts": self.reclaim_attempts,
             "pages_scanned": self.pages_scanned,
             "reclaim_skipped_pages": self.reclaim_skipped_pages,
-            "disabled": self.disabled,
-            "disabled_reason": self.disabled_reason,
             "backoff": self._backoff,
             "quanta_since_check": self._quanta_since_check,
             "dirty_high_water": self._dirty_high_water,
@@ -223,15 +212,12 @@ class TaintLiveness:
         self.reclaim_attempts = state["reclaim_attempts"]
         self.pages_scanned = state.get("pages_scanned", 0)
         self.reclaim_skipped_pages = state.get("reclaim_skipped_pages", 0)
-        self.disabled = state["disabled"]
-        self.disabled_reason = state["disabled_reason"]
         self._backoff = state["backoff"]
         self._quanta_since_check = state["quanta_since_check"]
         self._dirty_high_water = state.get("dirty_high_water",
                                            len(self.dirty_pages))
 
     def __repr__(self) -> str:
-        state = ("disabled" if self.disabled
-                 else "clean" if self.clean else "tainted")
+        state = "clean" if self.clean else "tainted"
         return (f"TaintLiveness({state}, dirty_pages={len(self.dirty_pages)}, "
                 f"fast={self.fast_steps}, slow={self.slow_steps})")

@@ -559,10 +559,6 @@ class DiftMonitor:
     # inspection
     # ------------------------------------------------------------------ #
 
-    def csr_tag_values(self):
-        """Explicitly written CSR tags (``CsrFile.tag_values``)."""
-        return self.csr.tag_values()
-
     def tag_image(self) -> bytes:
         """The dense RAM tag image: one tag per byte, ``ram_size`` bytes."""
         return self.ram_tags.tobytes()

@@ -95,7 +95,7 @@ RETAINT = "retaint"
 # which ends the quantum early so the kernel can advance time.  Every
 # loop above the interpreter (the JIT dispatcher, demand mode's driver,
 # the instruction-level profile) stops on it as on any other stop
-# reason; Cpu.run() and Cpu._run_observed() return it as QUANTUM.
+# reason; Cpu.run() alone returns it as QUANTUM.
 _IRQWAIT = "irqwait"
 
 # Internal: a taken backward branch landed on a compiled superblock
@@ -180,11 +180,9 @@ class Cpu(Module):
 
         # demand-mode taint liveness; None in plain and full modes so the
         # existing loops stay hook-free
-        self.liveness: Optional[TaintLiveness] = None
-        self._live: Optional[TaintLiveness] = None
-        if dift is not None and dift_mode == DIFT_DEMAND:
-            self.liveness = TaintLiveness(bottom_tag=bottom)
-            self._live = self.liveness
+        self.liveness: Optional[TaintLiveness] = (
+            TaintLiveness(bottom_tag=bottom)
+            if dift is not None and dift_mode == DIFT_DEMAND else None)
 
         # interrupt lines
         self._take_irq = False
@@ -399,12 +397,9 @@ class Cpu(Module):
         dift = self.dift
         if dift is not None and dift.branch_req is not None:
             handler_tag = _TRAP_TAG(csr)
-            if not dift.flow[handler_tag][dift.branch_req]:
-                if not dift.check_execution(
-                        "branch", handler_tag, dift.branch_req, self.pc):
-                    if emitq is not None:
-                        emitq.append((EV_STOP, self.pc, 1))
-                    return False
+            if not dift.flow[handler_tag][dift.branch_req] and self._refused(
+                    "branch", handler_tag, dift.branch_req, self.pc, 1):
+                return False
         if emitq is not None:
             emitq.append((EV_TRAP, self.pc, cause, mtvec))
         csr[CSR.MEPC] = self.pc
@@ -416,6 +411,24 @@ class Cpu(Module):
         csr[CSR.MSTATUS] = mpie  # MIE cleared, MPIE = old MIE
         self._update_irq()
         self.pc = mtvec
+        return True
+
+    def _refused(self, unit: str, tag: int, required: int, pc: int,
+                 entry: int = 0) -> bool:
+        """Judge a clearance check at ``pc`` whose flow-table lookup
+        failed (cold path of the DIFT loop and of :meth:`_trap`).
+
+        Leaves the CPU at ``pc`` and hands the check to the engine, which
+        raises in raise mode and records the violation in record mode.
+        A refused check stops the run; a recorded run says so with an
+        ``EV_STOP`` packet, whose ``entry`` is 1 for a trap entry and 0
+        for an instruction.  Returns True if the check was refused.
+        """
+        self.pc = pc
+        if self.dift.check_execution(unit, tag, required, pc):
+            return False
+        if self._emitq is not None:
+            self._emitq.append((EV_STOP, pc, entry))
         return True
 
     def _fault(self, cause: int, tval: int) -> Optional[str]:
@@ -501,20 +514,55 @@ class Cpu(Module):
     # ------------------------------------------------------------------ #
 
     def run(self, max_instructions: int) -> Tuple[int, str]:
-        """Execute up to ``max_instructions``; returns (executed, reason)."""
+        """Execute up to ``max_instructions``; returns (executed, reason).
+
+        The one owner of a quantum's bookkeeping.  The loops below it
+        (demand mode's driver, the instruction-level profile, the JIT
+        dispatcher, the interpreter) retire instructions and stop; here
+        alone, once per quantum, the retired count reaches
+        ``instret``/``cycle`` and the internal :data:`_IRQWAIT` stop
+        becomes :data:`QUANTUM`.  A CSR read inside a quantum therefore
+        sees the count at the quantum's start, whichever loops ran it.
+        The quantum's metrics and trace span are taken here too; with no
+        observability attached that costs one check per quantum.
+        """
         if self.halted:
             return 0, HALT
-        if self._obs is not None:
-            return self._run_observed(max_instructions)
-        executed, reason = self._run_core(max_instructions)
-        return executed, QUANTUM if reason == _IRQWAIT else reason
+        obs = self._obs
+        if obs is None:
+            executed, reason = self._run_core(max_instructions)
+        else:
+            started = perf_counter()
+            if obs.level == "instruction":
+                executed, reason = self._run_counted(max_instructions)
+            else:
+                executed, reason = self._run_core(max_instructions)
+            wall_us = (perf_counter() - started) * 1e6
+        csr = self.csr
+        csr.instret += executed
+        csr.cycle += executed
+        if reason == _IRQWAIT:
+            reason = QUANTUM
+        if obs is not None:
+            self._m_instructions.inc(executed)
+            self._m_quanta.inc()
+            self._m_quantum_wall.observe(wall_us)
+            self._m_stop[reason].inc()
+            if obs.tracer is not None and executed:
+                # sim time does not advance inside cpu.run, so "now" is
+                # still the quantum's start time
+                obs.tracer.complete(
+                    "quantum", "cpu", ts=self.kernel.now_ps / 1e6,
+                    dur=executed * self.clock_period.ps / 1e6,
+                    args={"executed": executed, "reason": reason,
+                          "wall_us": round(wall_us, 1)})
+        return executed, reason
 
     def _run_core(self, n: int) -> Tuple[int, str]:
-        """Pick the execution loop for the configured DIFT mode."""
+        """Run the loop this CPU was built for: plain, full or demand."""
         if self.dift is None:
             return self._run_plain(n)
-        live = self._live
-        if live is None or live.disabled:
+        if self.liveness is None:
             return self._run_dift(n)
         return self._run_demand(n)
 
@@ -532,7 +580,7 @@ class Cpu(Module):
         marks DMA/host taint, and :class:`TaintLiveness` reclaims the
         clean state once taint dies out again.
         """
-        live = self._live
+        live = self.liveness
         assert live is not None
         executed = 0
         reason = QUANTUM
@@ -553,33 +601,7 @@ class Cpu(Module):
                 break
         return executed, reason
 
-    # ---- observability wrappers (never entered when _obs is None) -------- #
-
-    def _run_observed(self, n: int) -> Tuple[int, str]:
-        """One quantum with metrics/tracing; hooks fire per quantum only."""
-        obs = self._obs
-        tracer = obs.tracer
-        started = perf_counter()
-        if obs.level == "instruction":
-            executed, reason = self._run_counted(n)
-        else:
-            executed, reason = self._run_core(n)
-        wall_us = (perf_counter() - started) * 1e6
-        if reason == _IRQWAIT:
-            reason = QUANTUM
-        self._m_instructions.inc(executed)
-        self._m_quanta.inc()
-        self._m_quantum_wall.observe(wall_us)
-        self._m_stop[reason].inc()
-        if tracer is not None and executed:
-            # sim time does not advance inside cpu.run, so "now" is still
-            # the quantum's start time
-            tracer.complete(
-                "quantum", "cpu", ts=self.kernel.now_ps / 1e6,
-                dur=executed * self.clock_period.ps / 1e6,
-                args={"executed": executed, "reason": reason,
-                      "wall_us": round(wall_us, 1)})
-        return executed, reason
+    # ---- the instruction-level profile (only with obs attached) ---------- #
 
     def _run_counted(self, n: int) -> Tuple[int, str]:
         """Single-step a quantum, attributing retirements to opcode groups.
@@ -666,7 +688,7 @@ class Cpu(Module):
         # for taint entering a clean machine, the DIFT loop records which
         # RAM pages receive non-bottom tags so reclaiming the clean state
         # scans dirty pages, not all of RAM
-        live = self._live
+        live = self.liveness
         if _DIFT:
             dift = self.dift
             assert dift is not None
@@ -739,14 +761,10 @@ class Cpu(Module):
                     tw = tags32[off >> 2]
                     if tw or not zero_is_bottom:
                         itag = _WORD_TAG(tw, lub)
-                        if not flow[itag][fetch_req]:
-                            self.pc = pc
-                            if not dift.check_execution("fetch", itag,
-                                                        fetch_req, pc):
-                                if emitq is not None:
-                                    emitq.append((EV_STOP, pc, 0))
-                                reason = SECURITY
-                                break
+                        if not flow[itag][fetch_req] and self._refused(
+                                "fetch", itag, fetch_req, pc):
+                            reason = SECURITY
+                            break
 
             d = cache.get(word)
             if d is None:
@@ -763,14 +781,10 @@ class Cpu(Module):
                         # --- branch-condition clearance (Section V-B2a) --- #
                         if branch_req is not None:
                             ctag = _CHECK_TAG(D.BEQ, D.BGEU, tags, d, lub)
-                            if not flow[ctag][branch_req]:
-                                self.pc = pc
-                                if not dift.check_execution(
-                                        "branch", ctag, branch_req, pc):
-                                    if emitq is not None:
-                                        emitq.append((EV_STOP, pc, 0))
-                                    reason = SECURITY
-                                    break
+                            if not flow[ctag][branch_req] and self._refused(
+                                    "branch", ctag, branch_req, pc):
+                                reason = SECURITY
+                                break
                     a = regs[d[2]]
                     b = regs[d[3]]
                     taken = _TAKEN(D.BEQ, D.BGEU, op, a, b)
@@ -790,8 +804,6 @@ class Cpu(Module):
                                     jready.append(next_pc)
                             if next_pc in jblocks:
                                 self.pc = next_pc
-                                csr.instret += executed
-                                csr.cycle += executed
                                 return executed, _BLOCKHIT
                 elif op == D.JAL:
                     if d[1]:
@@ -813,20 +825,15 @@ class Cpu(Module):
                                 jready.append(next_pc)
                         if next_pc in jblocks:
                             self.pc = next_pc
-                            csr.instret += executed
-                            csr.cycle += executed
                             return executed, _BLOCKHIT
                 elif op == D.JALR:
                     if _DIFT:
                         # --- indirect-jump target clearance --- #
                         if branch_req is not None and not flow[
                                 _CHECK_TAG(D.JALR, tags, d)][branch_req]:
-                            self.pc = pc
-                            if not dift.check_execution(
+                            if self._refused(
                                     "branch", _CHECK_TAG(D.JALR, tags, d),
                                     branch_req, pc):
-                                if emitq is not None:
-                                    emitq.append((EV_STOP, pc, 0))
                                 reason = SECURITY
                                 break
                     target = (regs[d[2]] + d[4]) & 0xFFFFFFFE
@@ -849,8 +856,6 @@ class Cpu(Module):
                                 jready.append(next_pc)
                         if next_pc in jblocks:
                             self.pc = next_pc
-                            csr.instret += executed
-                            csr.cycle += executed
                             return executed, _BLOCKHIT
                 elif op == D.LUI:
                     if d[1]:
@@ -870,12 +875,9 @@ class Cpu(Module):
                     # --- memory-address clearance (Section V-B2c) --- #
                     if memaddr_req is not None and not flow[
                             _CHECK_TAG(D.LB, D.LHU, tags, d)][memaddr_req]:
-                        self.pc = pc
-                        if not dift.check_execution(
+                        if self._refused(
                                 "mem-addr", _CHECK_TAG(D.LB, D.LHU, tags, d),
                                 memaddr_req, pc):
-                            if emitq is not None:
-                                emitq.append((EV_STOP, pc, 0))
                             reason = SECURITY
                             break
                 if ram_base <= addr and addr + size <= ram_end:
@@ -942,8 +944,6 @@ class Cpu(Module):
                             self.tags[d[1]] = t
                         live.taint_introduced()
                         self.pc = next_pc
-                        csr.instret += executed
-                        csr.cycle += executed
                         return executed, RETAINT
                 if d[1]:
                     regs[d[1]] = value & _MASK32
@@ -956,12 +956,9 @@ class Cpu(Module):
                 if _DIFT:
                     if memaddr_req is not None and not flow[
                             _CHECK_TAG(D.SB, D.SW, tags, d)][memaddr_req]:
-                        self.pc = pc
-                        if not dift.check_execution(
+                        if self._refused(
                                 "mem-addr", _CHECK_TAG(D.SB, D.SW, tags, d),
                                 memaddr_req, pc):
-                            if emitq is not None:
-                                emitq.append((EV_STOP, pc, 0))
                             reason = SECURITY
                             break
                     t = _STORE_TAG(tags, d)
@@ -1027,8 +1024,6 @@ class Cpu(Module):
                             # taint side effect (e.g. peripheral DMA
                             # into RAM)
                             self.pc = next_pc
-                            csr.instret += executed
-                            csr.cycle += executed
                             return executed, RETAINT
 
             elif op <= D.ANDI:  # immediate ALU
@@ -1074,8 +1069,6 @@ class Cpu(Module):
                     else None
                 if outcome == "halt":
                     self.halted = True
-                    csr.instret += executed
-                    csr.cycle += executed
                     return executed, HALT
                 if outcome is None:
                     self.pc = pc
@@ -1092,8 +1085,6 @@ class Cpu(Module):
                     if emitq is not None:
                         emitq.append((EV_FAULT, pc, CSR.CAUSE_BREAKPOINT))
                 self.halted = True
-                csr.instret += executed
-                csr.cycle += executed
                 return executed, EBREAK
 
             elif op == D.MRET:
@@ -1101,14 +1092,10 @@ class Cpu(Module):
                     # --- return-address clearance: mepc is a jump target --- #
                     if branch_req is not None:
                         epc_tag = _CHECK_TAG(D.MRET, csr)
-                        if not flow[epc_tag][branch_req]:
-                            self.pc = pc
-                            if not dift.check_execution(
-                                    "branch", epc_tag, branch_req, pc):
-                                if emitq is not None:
-                                    emitq.append((EV_STOP, pc, 0))
-                                reason = SECURITY
-                                break
+                        if not flow[epc_tag][branch_req] and self._refused(
+                                "branch", epc_tag, branch_req, pc):
+                            reason = SECURITY
+                            break
                 mstatus = csr[CSR.MSTATUS]
                 mie = CSR.MSTATUS_MIE if mstatus & CSR.MSTATUS_MPIE else 0
                 csr[CSR.MSTATUS] = mie | CSR.MSTATUS_MPIE
@@ -1120,8 +1107,6 @@ class Cpu(Module):
 
             elif op == D.WFI:
                 self.pc = next_pc
-                csr.instret += executed
-                csr.cycle += executed
                 if self.csr[CSR.MIP] & self.csr[CSR.MIE]:
                     # pending but globally disabled: end the quantum so
                     # the kernel can advance time.  _IRQWAIT (not
@@ -1150,8 +1135,6 @@ class Cpu(Module):
             pc = next_pc
 
         self.pc = pc
-        csr.instret += executed
-        csr.cycle += executed
         return executed, reason
 
     # ---- CSR instructions (shared; cold path) ------------------------------ #

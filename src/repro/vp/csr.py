@@ -96,9 +96,10 @@ class CsrFile:
     def set_tag(self, csr: int, tag: int) -> None:
         self._tags[csr] = tag
 
-    def tag_values(self):
-        """All explicitly written CSR tags (unwritten CSRs are bottom)."""
-        return self._tags.values()
+    def tag_values(self) -> Dict[int, int]:
+        """A copy of the explicitly written CSR tags, ``{csr: tag}``
+        (unwritten CSRs are bottom)."""
+        return dict(self._tags)
 
     # ------------------------------------------------------------------ #
     # instruction-level access (csrrw family)

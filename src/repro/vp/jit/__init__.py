@@ -130,7 +130,7 @@ class JitEngine:
         # DIFT blocks fuse full-mode propagation only: demand mode needs
         # the DIFT loop's liveness bookkeeping, so there the engine serves
         # the clean path's plain loop
-        self.dift = cpu.dift is not None and cpu._live is None
+        self.dift = cpu.dift is not None and cpu.liveness is None
 
         self.blocks: Dict[int, Superblock] = {}
         # entry pc -> execution count; -1 marks "never compile this"
@@ -166,16 +166,14 @@ class JitEngine:
                   ) -> Tuple[int, str]:
         """Alternate compiled blocks and bounded interpreter stretches.
 
-        Quantum accounting: blocks do not touch ``instret``/``cycle``
-        and the interpreter's per-call bumps are rolled back, with one
-        combined bump at dispatch exit — so a CSR instruction reading
-        ``instret`` mid-quantum sees exactly what it sees under the
-        interpreter (the value at the last run-loop entry).  Stop reasons
-        pass up unchanged, except :data:`_BLOCKHIT`, which only tells
-        this loop to look up a block now.
+        Returns the instructions retired and the stop reason, as the
+        interpreter does; neither blocks nor the interpreter touch
+        ``instret``/``cycle``, which :meth:`Cpu.run` advances once per
+        quantum.  Stop reasons pass up unchanged, except
+        :data:`_BLOCKHIT`, which only tells this loop to look up a block
+        now.
         """
         cpu = self.cpu
-        csr = cpu.csr
         stats = self.stats
         threshold = self.threshold
         blocks = self.blocks
@@ -241,7 +239,7 @@ class JitEngine:
                         # an inline MMIO access retired: demand mode hands
                         # over as its loop does; otherwise an interrupt is
                         # pending or a clean block's load returned a tag
-                        live = cpu._live
+                        live = cpu.liveness
                         if live is not None and not live.clean:
                             reason = RETAINT
                             break
@@ -259,12 +257,7 @@ class JitEngine:
             if asked > DISPATCH_CHUNK:
                 asked = DISPATCH_CHUNK
             stepped, reason = interp(asked)
-            if stepped:
-                # roll back the interpreter's epilogue bump; one
-                # combined bump happens at dispatch exit
-                csr.instret -= stepped
-                csr.cycle -= stepped
-                executed += stepped
+            executed += stepped
             if reason == _BLOCKHIT:
                 # a taken backward branch landed on a compiled entry:
                 # loop straight back so the block runs now instead of
@@ -275,8 +268,6 @@ class JitEngine:
                 continue
             if reason != QUANTUM:
                 break
-        csr.instret += executed
-        csr.cycle += executed
         return executed, reason
 
     def _twin(self, blk: Superblock) -> Superblock:

@@ -237,7 +237,7 @@ def compile_block(cpu, code_lines, invalidate_write, instrs,
     hoisted = sorted({r for __, d in instrs for r in d[1:4]} - {0})
     inline = {pc for pc, d in instrs if pc in mmio and D.LB <= d[0] <= D.SW}
     # a plain block on demand mode's clean path hands over as its loop does
-    live = None if dift else cpu._live
+    live = None if dift else cpu.liveness
 
     # ---- expression helpers ---------------------------------------- #
     need: Set[str] = set()   # prologue bindings and defaults in use

@@ -151,7 +151,13 @@ class Platform:
         self.router = Router("bus")
         tagged = self.engine is not None
         default_tag = self.engine.default_tag if self.engine else 0
-        self.dift_mode = config.dift_mode
+        dift_mode = config.dift_mode
+        if tagged and default_tag != self.engine.bottom_tag:
+            # memory starts (and stays) classified above bottom: the
+            # machine is never clean, so demand mode's clean path could
+            # never run.  Build the full-mode CPU, which the JIT serves
+            # with DIFT blocks
+            dift_mode = cpu_mod.DIFT_FULL
 
         self.memory = Memory(self.kernel, "ram", config.ram_size,
                              tagged=tagged, default_tag=default_tag)
@@ -163,7 +169,7 @@ class Platform:
         self.cpu = Cpu(self.kernel, "cpu0", dift=self.engine,
                        clock_period=config.clock_period,
                        quantum=config.quantum,
-                       dift_mode=config.dift_mode)
+                       dift_mode=dift_mode)
         self.cpu.isock.bind(self.router)  # router duck-types a target socket
         self.cpu.attach_ram(RAM_BASE, self.memory.data, self.memory.tags)
         self.cpu.ecall_handler = _default_ecall
@@ -218,17 +224,10 @@ class Platform:
             # code pages coherent with them
             self.memory.set_write_listener(self._on_memory_write)
 
-        live = self.cpu.liveness
-        if live is not None:
-            if self.engine.default_tag != self.engine.bottom_tag:
-                # memory starts (and stays) classified above bottom: the
-                # machine can never be clean, so demand == full by fiat
-                live.disable(
-                    "default memory classification is not lattice bottom")
-            else:
-                # wired before load() so the loader's region
-                # classification marks its dirty pages automatically
-                self.memory.set_taint_listener(self._on_memory_taint)
+        if self.cpu.liveness is not None:
+            # wired before load() so the loader's region classification
+            # marks its dirty pages automatically
+            self.memory.set_taint_listener(self._on_memory_taint)
 
         self.plic = Plic(self.kernel, "plic0", self.engine, cpu=self.cpu)
         self.clint = Clint(self.kernel, "clint0", self.engine, cpu=self.cpu)
@@ -412,16 +411,13 @@ class Platform:
 
     def _on_memory_taint(self, offset: int, length: int, tags) -> None:
         """Memory taint listener (demand mode): filter bottom-only writes."""
-        live = self.cpu.liveness
-        if live is None:
-            return
         bottom = self.engine.bottom_tag
         if isinstance(tags, int):
             if tags == bottom:
                 return
         elif tags.count(bottom) == len(tags):
             return
-        live.note_memory_taint(offset, length)
+        self.cpu.liveness.note_memory_taint(offset, length)
 
     # -- taint-spread gauges (snapshot-time scans of the shadow state) --- #
 
@@ -810,8 +806,10 @@ class Platform:
         return self.program.symbol(name)
 
     def __repr__(self) -> str:
+        # the mode that runs: a demand config under a default class above
+        # bottom builds the full-mode CPU
         if self.is_dift:
-            mode = "VP+d" if self.dift_mode == cpu_mod.DIFT_DEMAND else "VP+"
+            mode = "VP+d" if self.cpu.liveness is not None else "VP+"
         else:
             mode = "VP"
         return f"Platform({mode}, instret={self.cpu.csr.instret})"

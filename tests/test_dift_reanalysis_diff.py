@@ -80,7 +80,7 @@ def _live_tag_state(platform, result):
     return {
         "violations": _violations(result.violations),
         "reg_tags": tuple(platform.cpu.tags),
-        "csr_tags": tuple(platform.cpu.csr.tag_values()),
+        "csr_tags": platform.cpu.csr.tag_values(),
         "tag_image": bytes(platform.memory.tags),
     }
 
@@ -94,7 +94,7 @@ def _assert_reanalysis_matches(platform, result, path, what):
     replayed = {
         "violations": _violations(offline.violations),
         "reg_tags": tuple(monitor.reg_tags),
-        "csr_tags": tuple(monitor.csr_tag_values()),
+        "csr_tags": monitor.csr.tag_values(),
         "tag_image": monitor.tag_image(),
     }
     for key in live:

@@ -32,11 +32,11 @@ _DIFT_LOCALS = {"tags", "lub", "flow", "mtags", "tags32", "emitq", "rcode",
                 "dirty", "fetch_req", "branch_req", "memaddr_req"}
 
 #: attribute and global names only the DIFT loop reads
-_DIFT_ATTRS = {"check_execution", "ram_tags", "tags32", "_emitq",
+_DIFT_ATTRS = {"_refused", "ram_tags", "tags32", "_emitq",
                "_emitcode", "dirty_pages", "fetch_req", "branch_req",
                "memaddr_req"}
 _DIFT_GLOBALS = {"EV_LOAD", "EV_STORE", "EV_MMIO_LOAD", "EV_MMIO_STORE",
-                 "EV_BRANCH", "EV_JUMP", "EV_FAULT", "EV_STOP", "EV_CODE",
+                 "EV_BRANCH", "EV_JUMP", "EV_FAULT", "EV_CODE",
                  "SECURITY"}
 
 #: names only the plain loop uses: demand mode's RETAINT handovers
