@@ -51,19 +51,15 @@ class Comparison:
 
 def run_workload(workload: Workload, scale: str, dift: bool,
                  max_instructions: Optional[int] = None,
-                 obs=None, dift_mode: str = "full") -> Measurement:
+                 dift_mode: str = "full") -> Measurement:
     """Build, load and run one workload once.
 
-    ``obs`` — optional :class:`~repro.obs.Observability`; its metrics
-    then cover this run (shared instances aggregate across runs).
-    ``dift_mode`` — ``"full"`` (classic VP+) or ``"demand"`` (VP+d).
+    ``dift_mode`` — ``"full"`` (classic VP+) or ``"demand"`` (VP+d); the
+    measurement is labelled with the mode that runs
+    (:attr:`~repro.vp.platform.Platform.label`).
     """
-    platform = workload.make_platform(scale, dift, obs=obs,
-                                      dift_mode=dift_mode)
-    if dift:
-        mode = "VP+d" if dift_mode == "demand" else "VP+"
-    else:
-        mode = "VP"
+    platform = workload.make_platform(scale, dift, dift_mode=dift_mode)
+    mode = platform.label
     result: RunResult = platform.run(max_instructions=max_instructions)
     if result.reason not in ("halt", "budget"):
         raise RuntimeError(

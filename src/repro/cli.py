@@ -732,7 +732,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the waypoint event stream to FILE as a "
                         "repro.dift.events/2 artifact for offline "
                         "re-analysis (implies --record; needs a policy "
-                        "and --dift-mode full, no --jit)")
+                        "and no --jit; --dift-mode demand only under a "
+                        "default class above bottom, which runs full)")
     p.add_argument("--jit", action="store_true",
                    help="enable the trace-compiled fast path (identical "
                         "simulation results, higher MIPS)")

@@ -18,9 +18,10 @@ back to clean:
   bottom) and the unique tag for which every ``allowed_flow`` check
   passes without producing a violation record.
 * ``dirty_pages`` — RAM pages (:data:`PAGE_SIZE` granularity) that may
-  hold non-bottom tags.  Fed by the DIFT loop's store path and by the
-  memory module's taint listener (TLM/DMA writes, load-time region
-  classification, host-side pokes).
+  hold non-bottom tags.  Fed by the DIFT loop's store path and by
+  :meth:`TaintLiveness.memory_written`, one of the memory module's write
+  observers (TLM/DMA writes, load-time region classification, host-side
+  pokes).
 * a **reclaim** state machine: after taint is introduced, the machine
   periodically re-checks whether everything decayed back to bottom
   (secrets overwritten, registers recycled); on success the fast path
@@ -115,6 +116,19 @@ class TaintLiveness:
         self._backoff = 1
         self._quanta_since_check = 0
 
+    def memory_written(self, offset: int, length: int, tags) -> None:
+        """Memory write observer: a write that stored a non-bottom tag
+        (``tags`` an int or the bytes; None left the shadow alone)."""
+        if tags is None:
+            return
+        bottom = self.bottom
+        if isinstance(tags, int):
+            if tags == bottom:
+                return
+        elif tags.count(bottom) == len(tags):
+            return
+        self.note_memory_taint(offset, length)
+
     # ------------------------------------------------------------------ #
     # reclaim (tainted -> clean)
     # ------------------------------------------------------------------ #
@@ -140,8 +154,8 @@ class TaintLiveness:
         page is one C-speed ``bytearray.count`` over :data:`PAGE_SIZE`
         bytes.  The dirty set is the level-1 presence summary over the
         flat RAM shadow, and reclaim scans *prune* it: a page verified
-        all-bottom is dropped (the ISS store path and the memory taint
-        listener re-add it on any later taint write), the scan stops at
+        all-bottom is dropped (the ISS store path and the memory write
+        observer re-add it on any later taint write), the scan stops at
         the first page still holding taint.  Amortized over a churning
         workload the scan cost is therefore proportional to the pages
         that are *actually* tainted, not to every page ever dirtied —

@@ -57,14 +57,13 @@ ORACLE_NAMES = ("invisibility", "mode-equivalence", "detection")
 DEFAULT_BUDGET = 200_000
 
 #: snapshot paths that may legitimately differ between full and demand
-#: mode: the mode selector itself, the liveness accelerator's private
-#: counters and the engine's bookkeeping of how many checks ran on the
-#: slow path.  Everything else — registers, tags, RAM, shadow RAM,
-#: violations, peripherals, kernel time — must match bit-for-bit.
+#: mode: the mode selector itself and the liveness accelerator's private
+#: counters.  Everything else — registers, tags, RAM, shadow RAM,
+#: violations, the engine's check count, peripherals, kernel time — must
+#: match bit-for-bit.
 MODE_IGNORE_PREFIXES = (
     "config.dift_mode",
     "modules.liveness",
-    "modules.engine.checks_performed",
 )
 
 #: how many diff lines to carry into a failure message

@@ -150,10 +150,9 @@ class Cpu(Module):
         self.tags = [bottom] * 32
         self.pc = 0
         self.csr = CsrFile(bottom_tag=bottom)
+        # instruction word -> decoded tuple; derived state (a word always
+        # decodes the same), shared by the loops and the JIT's scans
         self._decode_cache: Dict[int, D.Decoded] = {}
-        #: words decoded from scratch (cache misses); feeds the
-        #: cpu.decode_cache.misses gauge
-        self.decode_misses = 0
 
         # trace compiler; attached by the platform via attach_jit()
         self._jit = None
@@ -316,11 +315,9 @@ class Cpu(Module):
     def state_dict(self) -> dict:
         """Architectural + quantum-bookkeeping state.
 
-        The decode cache is included although it is semantically derived:
-        the ``cpu.decode_cache.*`` gauges are computed from its size, so
-        a replayed run must resume with the same cache population to
-        report identical metrics.  RAM/shadow content lives with the
-        memory module (the DMI arrays alias it).
+        The decode cache is derived state and stays out, as the JIT's
+        blocks do.  RAM/shadow content lives with the memory module (the
+        DMI arrays alias it).
         """
         return {
             "regs": list(self.regs),
@@ -330,12 +327,11 @@ class Cpu(Module):
             "exit_code": self.exit_code,
             "fault_info": self.fault_info,
             "csr": self.csr.state_dict(),
-            "decode_cache": {str(word): list(entry)
-                             for word, entry in self._decode_cache.items()},
-            "decode_misses": self.decode_misses,
         }
 
     def load_state_dict(self, state: dict) -> None:
+        """Restore :meth:`state_dict`; the ``decode_cache`` and
+        ``decode_misses`` of older snapshots are ignored."""
         self.regs = [value & _MASK32 for value in state["regs"]]
         self.tags = list(state["tags"])
         self.pc = state["pc"]
@@ -343,10 +339,6 @@ class Cpu(Module):
         self.exit_code = state["exit_code"]
         self.fault_info = state["fault_info"]
         self.csr.load_state_dict(state["csr"])
-        self._decode_cache = {int(word): tuple(entry)
-                              for word, entry
-                              in state["decode_cache"].items()}
-        self.decode_misses = state.get("decode_misses", 0)
         self._update_irq()
 
     # ------------------------------------------------------------------ #
@@ -576,8 +568,8 @@ class Cpu(Module):
         architectural *and* tag state — without touching a single tag.
         The fast loop watches the only entry point for new taint inside
         a quantum (MMIO) and returns :data:`RETAINT` to fall back to the
-        full loop; between quanta the platform's memory taint listener
-        marks DMA/host taint, and :class:`TaintLiveness` reclaims the
+        full loop; between quanta its memory write observer marks
+        DMA/host taint, and :class:`TaintLiveness` reclaims the
         clean state once taint dies out again.
         """
         live = self.liveness
@@ -628,9 +620,7 @@ class Cpu(Module):
                 word = self.ram32[(pc - self.ram_base) >> 2]
                 d = cache.get(word)
                 if d is None:
-                    d = decode(word)
-                    cache[word] = d
-                    self.decode_misses += 1
+                    d = cache[word] = decode(word)
                 op = d[0]
             stepped, reason = run1(1)
             executed += stepped
@@ -768,9 +758,7 @@ class Cpu(Module):
 
             d = cache.get(word)
             if d is None:
-                d = decode(word)
-                cache[word] = d
-                self.decode_misses += 1
+                d = cache[word] = decode(word)
             op = d[0]
             executed += 1
             next_pc = pc + 4

@@ -21,10 +21,13 @@ Hotness is profiled on two channels:
   which catches successors of compiled blocks (fall-through paths,
   call targets) without per-instruction overhead.
 
-Invalidation is filtered at 16-byte *line* granularity: any store into
+Invalidation is the only way compiled code learns that RAM under it
+changed.  It is filtered at 16-byte *line* granularity: any store into
 a line containing compiled code — from generated code, either
 interpreter loop, or a bus master writing RAM through the memory
-module — drops every block on that line.  Lines are fine enough that
+module — drops every block on that line, and so does a host-side write
+of tags alone (a ``fill_tags`` over code), since a DIFT block compiles
+only over code whose tags clear the fetch check.  Lines are fine enough that
 data living next to code (the common layout: RAM starts at 0, .data
 directly follows .text) does not shoot down unrelated blocks, yet
 coarse enough that the hot-path filter stays one set lookup.  Lines
@@ -272,8 +275,9 @@ class JitEngine:
 
     def _twin(self, blk: Superblock) -> Superblock:
         """A clean block's generic twin, compiled the first time it is
-        needed.  The clean block just ran, so its fetch guard passed: its
-        code tags still clear the fetch check and the twin compiles."""
+        needed.  Any write to the clean block's code tags would have
+        invalidated it, so they still clear the fetch check and the twin
+        compiles."""
         if blk.generic is None:
             blk.generic = self._compile_block(*blk.scan, False)
         return blk.generic
@@ -365,8 +369,9 @@ class JitEngine:
         if hi != lo:
             self._invalidate_line(hi)
 
-    def notify_write(self, offset: int, length: int) -> None:
-        """A bus master (DMA, TLM write, loader) wrote RAM [offset,
+    def notify_write(self, offset: int, length: int, tags) -> None:
+        """Memory write observer: a bus master (DMA, TLM write, loader) or
+        the host wrote the data or the tags of RAM [offset,
         offset+length).  Cheap no-op unless the range overlaps code."""
         code_lines = self.code_lines
         if not code_lines or length <= 0:

@@ -1,4 +1,4 @@
-"""Superblock discovery over the decode cache.
+"""Superblock discovery over RAM.
 
 A superblock is a run of consecutive instructions starting at a hot
 entry PC.  The scan keeps going along the fall-through path of every
@@ -14,18 +14,15 @@ The scan stops at:
 
 * any other backward conditional branch, ``jal`` or ``jalr`` —
   *included* as the block terminator;
-* an instruction the block cannot carry (system/CSR instructions, or a
-  word the decode cache has never seen), a word outside RAM, or the
-  :data:`MAX_BLOCK_LEN` cap — *excluded*.  If the last instruction
-  scanned is a forward branch, it becomes the terminator.
+* an instruction the block cannot carry (system, CSR or illegal
+  instructions), a word outside RAM, or the :data:`MAX_BLOCK_LEN` cap —
+  *excluded*.  If the last instruction scanned is a forward branch, it
+  becomes the terminator.
 
-The scan reads decoded tuples **only** from ``cpu._decode_cache`` and
-never decodes on its own: every instruction a block compiles has
-already been interpreted at least once (that is what made it hot), so
-stopping at the first uncached word provably keeps the decode-cache
-population — and with it the ``cpu.decode_cache.*`` gauges and the
-snapshot's ``decode_cache`` section — byte-identical between compiled
-and interpreted runs.
+The scan decodes through ``cpu._decode_cache``, adding the words it has
+not seen: a skip region may hold code the interpreter has not run yet.
+The cache is derived state (a word's decoding never changes), so what
+it holds is visible nowhere else.
 """
 
 from __future__ import annotations
@@ -52,7 +49,7 @@ def scan_superblock(
 
     ``instrs`` is a list of ``(pc, decoded)`` pairs at consecutive PCs,
     or ``None`` when no compilable block exists at ``entry`` (too short,
-    misaligned, or the first word is unknown).  ``terminated`` tells
+    or misaligned).  ``terminated`` tells
     whether the block ends in a control transfer (last element) or
     falls through.  A conditional branch before the last element is
     forward, or backward to an instruction past ``entry`` whose count in
@@ -69,11 +66,10 @@ def scan_superblock(
     while len(instrs) < max_len:
         if pc < base or pc + 4 > end:
             break
-        d = cache.get(ram32[(pc - base) >> 2])
+        word = ram32[(pc - base) >> 2]
+        d = cache.get(word)
         if d is None:
-            # never interpreted: compiling it would grow the decode
-            # cache differently from an interpreted run
-            break
+            d = cache[word] = D.decode(word)
         op = d[0]
         if op >= D.ECALL:
             # ecall/ebreak/mret/wfi/csr/illegal: cold, stateful paths

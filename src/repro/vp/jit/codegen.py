@@ -30,10 +30,9 @@ Exit kinds:
 * ``1`` — side exit *before* an instruction: ``cpu.pc`` points at that
   instruction, ``count`` covers only the instructions before it, and the
   interpreter re-executes from there (an access out of RAM at a pc that
-  has not completed an MMIO access, a misaligned ``lw``/``sw``, a DIFT
-  clearance that needs ``check_execution``, or a failed fetch guard with
-  ``count == 0``).  Nothing of the exiting instruction has retired, so
-  interpretation from ``cpu.pc`` is exact.
+  has not completed an MMIO access, a misaligned ``lw``/``sw``, or a DIFT
+  clearance that needs ``check_execution``).  Nothing of the exiting
+  instruction has retired, so interpretation from ``cpu.pc`` is exact.
 * ``2`` — self-modifying-code exit *after* a store into a code line: the
   store has fully retired (``count`` includes it), the block has already
   called the invalidation hook, and ``cpu.pc`` points at the successor.
@@ -102,18 +101,13 @@ the byte path.
 
 Correctness notes (the differential suite enforces all of these):
 
-* Generated code never decodes and never touches ``cpu._decode_cache``;
-  the builder only accepted words already in the cache, so cache
-  population — and the ``cpu.decode_cache.*`` gauges and snapshot
-  section — match interpreted runs exactly.
 * A DIFT block compiles only over code whose byte tags all clear the
   fetch requirement (so their LUB does: the interpreter's per-instruction
-  fetch check then passes without calling ``check_execution``), and its
-  fetch guard side-exits (kind 1, ``count == 0``) unless the tags are
-  still the compiled ones: one ``mt.count`` when they are uniform, a
-  slice compare otherwise.  The guard is re-checked only at block entry:
-  the tags under the block can change mid-block only through the block's
-  own stores, and those take the SMC exit.
+  fetch check then passes without calling ``check_execution``).  It
+  checks nothing at run time: every write to those tags invalidates the
+  block first — the block's own stores take the SMC exit, the
+  interpreter's stores and the memory module's writes (data or tags
+  alone) call the engine's invalidation.
 * Clearance checks are compiled as raw ``flow`` lookups that side-exit
   on failure — inner branches included; the interpreter then repeats
   the lookup and performs the ``check_execution`` bookkeeping
@@ -138,7 +132,7 @@ _BINDINGS = (("ram", "cpu.ram"), ("mt", "cpu.ram_tags"),
              ("m32", "cpu.ram32"), ("t32", "cpu.tags32"),
              ("mr", "cpu._mmio_read"), ("mw", "cpu._mmio_write"))
 #: default-argument constants of the generated ``block`` function
-_DEFAULTS = ("md", "cp", "iv", "lb", "fl", "bt", "ct", "st", "lv")
+_DEFAULTS = ("md", "cp", "iv", "lb", "fl", "bt", "st", "lv")
 
 
 class Superblock:
@@ -216,11 +210,10 @@ def compile_block(cpu, code_lines, invalidate_write, instrs,
     fetch_req = cpu.dift.fetch_req if dift else None
     branch_req = cpu.dift.branch_req if tagged else None
     memaddr_req = cpu.dift.memaddr_req if tagged else None
-    code_tags = None
     if fetch_req is not None:
-        code_tags = bytes(cpu.ram_tags[entry - base:last_pc + 4 - base])
         flow = cpu.dift.flow
-        if not all(flow[t][fetch_req] for t in set(code_tags)):
+        code_tags = set(cpu.ram_tags[entry - base:last_pc + 4 - base])
+        if not all(flow[t][fetch_req] for t in code_tags):
             return None
 
     loop = False
@@ -620,20 +613,6 @@ def compile_block(cpu, code_lines, invalidate_write, instrs,
 
     # ---- prologue and epilogue -------------------------------------- #
     guards: List[str] = []
-    if fetch_req is not None:
-        # the code tags cleared the fetch check at compile time; a kind-1
-        # exit unless they are still the compiled ones
-        lo = entry - base
-        hi = last_pc + 4 - base
-        guards.append("    mt = cpu.ram_tags")
-        if len(set(code_tags)) == 1:
-            guards.append(f"    if mt.count({code_tags[0]}, {lo}, {hi})"
-                          f" != {hi - lo}:")
-        else:
-            need.add("ct")
-            guards.append(f"    if mt[{lo}:{hi}] != ct:")
-        guards.append("        return 0, 1")
-        need.discard("mt")
     if clean and hoisted:
         # every register tag bottom; failing that, the tag of every
         # register the block reads before writing, and a kind-3 exit
@@ -687,7 +666,6 @@ def compile_block(cpu, code_lines, invalidate_write, instrs,
         "LB": cpu.dift.lub if dift else None,
         "FL": cpu.dift.flow if dift else None,
         "BT": [bottom] * 32,
-        "CT": code_tags,
         "ST": stats,
         "LV": live,
         "BusError": BusError,

@@ -9,7 +9,7 @@ optimization the original RISC-V VP uses.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, List, Optional
 
 from repro.errors import BusError
 from repro.state import decode_sparse_pages, encode_sparse_pages
@@ -35,28 +35,19 @@ class Memory(Module):
         self.access_delay = access_delay
         self.tsock = TargetSocket(f"{name}.tsock")
         self.tsock.register_b_transport(self.transport)
-        # demand-DIFT hook: called as fn(offset, length, tags) whenever
-        # tags are written outside the ISS hot loop (TLM/DMA writes,
-        # loader classification, host-side pokes)
-        self._taint_listener = None
-        # trace-compiler hook: called as fn(offset, length) whenever
-        # *data* bytes are written outside the ISS hot loop, so compiled
-        # code pages stay coherent with DMA and host-side writes (the
-        # ISS store paths check code pages inline instead)
-        self._write_listener = None
+        # write observers, each called as fn(offset, length, tags) after
+        # every write outside the ISS loops (TLM/DMA writes, the loader,
+        # host-side pokes); ``tags`` is what the write stored in the
+        # shadow: an int for a uniform fill, the bytes otherwise, None
+        # when it left the shadow alone.  The JIT keeps compiled code
+        # coherent, demand mode marks dirty pages, recording queues taint
+        # packets (the ISS store paths do their own bookkeeping inline)
+        self.observers: List[Callable[[int, int, object], None]] = []
         # merge-tags support (``GenericPayload.merge_tags``): the raw
         # LUB table plus the engine's memoized uniform-tag translate
         # tables; None until the platform wires an engine in
         self._lub = None
         self._lub_translation = None
-
-    def set_taint_listener(self, fn) -> None:
-        """Register a callback observing every non-ISS tag write."""
-        self._taint_listener = fn
-
-    def set_write_listener(self, fn) -> None:
-        """Register a callback observing every non-ISS data write."""
-        self._write_listener = fn
 
     def set_lub_table(self, lub_table, translation_fn) -> None:
         """Enable merge-tags writes (``dst = lub(dst, src)``).
@@ -81,43 +72,36 @@ class Memory(Module):
             if trans.tags is not None and self.tags is not None:
                 trans.tags[:] = self.tags[address:address + length]
         else:
+            merge = (self.tags is not None and trans.tags is not None
+                     and trans.merge_tags and length)
+            if merge and self._lub is None:
+                raise BusError("merge-tags write but no LUB table attached "
+                               "(Memory.set_lub_table)", address)
             self.data[address:address + length] = trans.data
-            if self._write_listener is not None:
-                self._write_listener(address, length)
-            if self.tags is not None:
-                if trans.tags is not None and trans.merge_tags and length:
-                    if self._lub is None:
-                        raise BusError(
-                            "merge-tags write but no LUB table attached "
-                            "(Memory.set_lub_table)", address)
-                    src = bytes(trans.tags)
-                    if src.count(src[0]) == length:
-                        # uniform source (the common DMA burst): one
-                        # C-speed translate over the destination span
-                        table = self._lub_translation(src[0])
-                        merged = bytes(
-                            self.tags[address:address + length]
-                        ).translate(table)
-                    else:
-                        lub = self._lub
-                        dst = self.tags
-                        merged = bytes(
-                            lub[dst[address + i]][s]
-                            for i, s in enumerate(src))
-                    self.tags[address:address + length] = merged
-                    trans.tags[:] = merged
-                    if self._taint_listener is not None:
-                        self._taint_listener(address, length, merged)
-                elif trans.tags is not None:
-                    self.tags[address:address + length] = trans.tags
-                    if self._taint_listener is not None:
-                        self._taint_listener(address, length, trans.tags)
+            stored = None
+            if merge:
+                src = bytes(trans.tags)
+                if src.count(src[0]) == length:
+                    # uniform source (the common DMA burst): one C-speed
+                    # translate over the destination span
+                    table = self._lub_translation(src[0])
+                    stored = bytes(
+                        self.tags[address:address + length]).translate(table)
                 else:
-                    self.tags[address:address + length] = \
-                        bytes([self.default_tag]) * length
-                    if self._taint_listener is not None:
-                        self._taint_listener(address, length,
-                                             self.default_tag)
+                    lub = self._lub
+                    dst = self.tags
+                    stored = bytes(lub[dst[address + i]][s]
+                                   for i, s in enumerate(src))
+                self.tags[address:address + length] = stored
+                trans.tags[:] = stored
+            elif trans.tags is not None and self.tags is not None:
+                stored = trans.tags
+                self.tags[address:address + length] = stored
+            elif self.tags is not None:
+                stored = self.default_tag
+                self.tags[address:address + length] = bytes([stored]) * length
+            for fn in self.observers:
+                fn(address, length, stored)
         trans.response = OK
         return delay + self.access_delay
 
@@ -128,12 +112,12 @@ class Memory(Module):
     def load(self, offset: int, blob: bytes, tag: Optional[int] = None) -> None:
         """Copy ``blob`` into memory; optionally tag the written bytes."""
         self.data[offset:offset + len(blob)] = blob
-        if self._write_listener is not None:
-            self._write_listener(offset, len(blob))
-        if self.tags is not None and tag is not None:
+        if self.tags is None:
+            tag = None
+        elif tag is not None:
             self.tags[offset:offset + len(blob)] = bytes([tag]) * len(blob)
-            if self._taint_listener is not None:
-                self._taint_listener(offset, len(blob), tag)
+        for fn in self.observers:
+            fn(offset, len(blob), tag)
 
     def read_word(self, offset: int) -> int:
         if offset < 0 or offset + 4 > self.size:
@@ -145,12 +129,12 @@ class Memory(Module):
                    tag: Optional[int] = None) -> None:
         self.data[offset:offset + 4] = (value & 0xFFFFFFFF).to_bytes(
             4, "little")
-        if self._write_listener is not None:
-            self._write_listener(offset, 4)
-        if self.tags is not None and tag is not None:
+        if self.tags is None:
+            tag = None
+        elif tag is not None:
             self.tags[offset:offset + 4] = bytes([tag]) * 4
-            if self._taint_listener is not None:
-                self._taint_listener(offset, 4, tag)
+        for fn in self.observers:
+            fn(offset, 4, tag)
 
     def read_block(self, offset: int, length: int) -> bytes:
         return bytes(self.data[offset:offset + length])
@@ -161,8 +145,8 @@ class Memory(Module):
     def fill_tags(self, offset: int, length: int, tag: int) -> None:
         if self.tags is not None:
             self.tags[offset:offset + length] = bytes([tag]) * length
-            if self._taint_listener is not None:
-                self._taint_listener(offset, length, tag)
+            for fn in self.observers:
+                fn(offset, length, tag)
 
     # ------------------------------------------------------------------ #
     # checkpoint / restore
@@ -183,8 +167,9 @@ class Memory(Module):
     def load_state_dict(self, state: dict) -> None:
         """Restore **in place** — the CPU holds DMI references into the
         same bytearrays, which re-assignment would silently orphan.
-        The taint listener is deliberately not fired: liveness state is
-        restored from its own snapshot section, not re-derived."""
+        The write observers are deliberately not called: liveness state
+        is restored from its own snapshot section, not re-derived, and
+        the JIT flushes on restore."""
         if state["size"] != self.size:
             raise ValueError(
                 f"snapshot RAM size {state['size']} != configured "

@@ -186,11 +186,12 @@ class Platform:
                     "raise-mode engine aborts the faulting quantum "
                     "mid-instruction and would truncate the stream before "
                     "its final packets")
-            if config.dift_mode == cpu_mod.DIFT_DEMAND:
+            if self.cpu.liveness is not None:
                 raise ValueError(
                     "record_events is incompatible with dift_mode='demand' "
-                    "(both claim the memory taint listener); record with "
-                    "dift_mode='full'")
+                    "under a policy whose default class is bottom: its "
+                    "clean path runs the plain loop, which emits no event "
+                    "packets; record with dift_mode='full'")
             if config.jit:
                 raise ValueError(
                     "record_events is incompatible with jit: compiled "
@@ -206,7 +207,7 @@ class Platform:
             # only the pages load() and fetches touch are committed
             self._code_copy = memoryview(mmap.mmap(-1, ram_size))
             self.cpu.set_event_queue([], self._code_copy.cast("I"))
-            self.memory.set_taint_listener(self._record_taint)
+            self.memory.observers.append(self._record_taint)
             self.engine.set_check_recorder(self._record_check)
 
         self.jit: Optional[JitEngine] = None
@@ -220,14 +221,14 @@ class Platform:
             self.jit = JitEngine(self.cpu, threshold=threshold)
             self.cpu.attach_jit(self.jit)
             # host-side writes into RAM (DMA, loader, debugger pokes)
-            # bypass the CPU store paths; the listener keeps compiled
-            # code pages coherent with them
-            self.memory.set_write_listener(self._on_memory_write)
+            # bypass the CPU store paths; the observer keeps compiled
+            # code coherent with their data and tags
+            self.memory.observers.append(self.jit.notify_write)
 
         if self.cpu.liveness is not None:
             # wired before load() so the loader's region classification
             # marks its dirty pages automatically
-            self.memory.set_taint_listener(self._on_memory_taint)
+            self.memory.observers.append(self.cpu.liveness.memory_written)
 
         self.plic = Plic(self.kernel, "plic0", self.engine, cpu=self.cpu)
         self.clint = Clint(self.kernel, "clint0", self.engine, cpu=self.cpu)
@@ -328,18 +329,6 @@ class Platform:
                              lambda: self.kernel.delta_count)
         metrics.set_gauge_fn("tlm.transactions_routed",
                              lambda: self.router.transactions_routed)
-        # Every retired instruction is one decode-cache lookup.  Misses
-        # are counted by the CPU itself (a cleared or partially warmed
-        # cache makes them diverge from the entry count, so ``len`` is
-        # not a substitute); hits fall out of instret minus misses.
-        metrics.set_gauge_fn("cpu.decode_cache.entries",
-                             lambda: len(self.cpu._decode_cache))
-        metrics.set_gauge_fn("cpu.decode_cache.misses",
-                             lambda: self.cpu.decode_misses)
-        metrics.set_gauge_fn(
-            "cpu.decode_cache.hits",
-            lambda: max(0, self.cpu.csr.instret
-                        - self.cpu.decode_misses))
         jit = self.jit
         if jit is not None:
             metrics.set_gauge_fn("jit.blocks.compiled",
@@ -391,13 +380,11 @@ class Platform:
                 metrics.set_gauge_fn("shadow.materialized_pages",
                                      lambda: len(live.dirty_pages))
 
-    def _on_memory_write(self, offset: int, length: int) -> None:
-        """Memory write listener: invalidate compiled code the write hits."""
-        self.jit.notify_write(offset, length)
-
     def _record_taint(self, offset: int, length: int, tags) -> None:
-        """Memory taint listener (inline recording): queue the tag write
+        """Memory write observer (inline recording): queue the tag write
         so an offline monitor replays loader/DMA classification."""
+        if tags is None:
+            return
         queue = self.cpu._emitq
         if isinstance(tags, int):
             queue.append((EV_TAINT_FILL, offset, length, tags))
@@ -408,16 +395,6 @@ class Platform:
         """Engine check recorder: queue every peripheral clearance check
         (pass or fail) so offline re-analysis re-performs it."""
         self.cpu._emitq.append((EV_SINK, unit, tag, required, context, pc))
-
-    def _on_memory_taint(self, offset: int, length: int, tags) -> None:
-        """Memory taint listener (demand mode): filter bottom-only writes."""
-        bottom = self.engine.bottom_tag
-        if isinstance(tags, int):
-            if tags == bottom:
-                return
-        elif tags.count(bottom) == len(tags):
-            return
-        self.cpu.liveness.note_memory_taint(offset, length)
 
     # -- taint-spread gauges (snapshot-time scans of the shadow state) --- #
 
@@ -805,14 +782,17 @@ class Platform:
             raise ValueError("no program loaded")
         return self.program.symbol(name)
 
+    @property
+    def label(self) -> str:
+        """The mode that runs: ``VP``, ``VP+`` or ``VP+d``.  A demand
+        config under a default class above bottom builds the full-mode
+        CPU, so it reads ``VP+``."""
+        if not self.is_dift:
+            return "VP"
+        return "VP+d" if self.cpu.liveness is not None else "VP+"
+
     def __repr__(self) -> str:
-        # the mode that runs: a demand config under a default class above
-        # bottom builds the full-mode CPU
-        if self.is_dift:
-            mode = "VP+d" if self.cpu.liveness is not None else "VP+"
-        else:
-            mode = "VP"
-        return f"Platform({mode}, instret={self.cpu.csr.instret})"
+        return f"Platform({self.label}, instret={self.cpu.csr.instret})"
 
 
 def run_program(program: Program, policy: Optional[SecurityPolicy] = None,

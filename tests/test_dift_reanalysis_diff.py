@@ -499,13 +499,22 @@ class TestReanalysis:
         with pytest.raises(ValueError, match="record"):
             Platform.from_config(PlatformConfig(
                 policy=policy, record_events=path))  # raise-mode engine
+        # demand mode's clean path runs the plain loop, which emits no
+        # packets: refused while the default class is bottom ...
         with pytest.raises(ValueError, match="demand"):
             Platform.from_config(PlatformConfig(
-                policy=policy, engine_mode=RECORD, dift_mode="demand",
-                record_events=path))
+                policy=benchmark_policy(), engine_mode=RECORD,
+                dift_mode="demand", record_events=path))
         with pytest.raises(ValueError, match="policy"):
             Platform.from_config(PlatformConfig(
                 engine_mode=RECORD, record_events=path))
+        # ... but this policy's default class is above bottom, so its
+        # demand config builds the full-mode CPU, which records
+        platform = Platform.from_config(PlatformConfig(
+            policy=policy, engine_mode=RECORD, dift_mode="demand",
+            record_events=path))
+        assert platform.cpu.liveness is None
+        platform.finish_recording()
 
     def test_jit_with_recording_rejected(self, tmp_path):
         """Compiled blocks emit no packets, so a recording run cannot

@@ -55,8 +55,7 @@ def test_mode_ignore_list_is_bookkeeping_only():
     """The mode-equivalence oracle may only ignore *how* the run was
     executed, never what it computed."""
     for prefix in MODE_IGNORE_PREFIXES:
-        assert prefix.startswith(("config.dift_mode", "modules.liveness",
-                                  "modules.engine.checks_performed"))
+        assert prefix.startswith(("config.dift_mode", "modules.liveness"))
 
 
 class TestMutationDetection:

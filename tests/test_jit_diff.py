@@ -719,38 +719,3 @@ def test_jit_is_host_side_and_not_serialized():
     assert restored.jit is False
     restored_on = PlatformConfig.from_json(document, jit=True)
     assert restored_on.jit is True
-
-
-# ---------------------------------------------------------------------------
-# decode-cache gauges (regression: misses used to alias entries)
-# ---------------------------------------------------------------------------
-
-def test_decode_cache_miss_gauge_is_a_real_counter():
-    """``cpu.decode_cache.misses`` counts decodes, not cache size.
-
-    The gauge was once registered with the same ``len(cache)`` lambda as
-    ``entries``, which is indistinguishable on a cold cache (every entry
-    cost exactly one miss).  Clearing the cache mid-run separates them:
-    re-decoding the same words grows the counter but not the dict.
-    """
-    platform = get_workload("simple-sensor").make_platform(
-        "quick", False, obs=Observability(), seed=0)
-    platform.run(pause_at=3_000, max_instructions=BUDGET)
-
-    snap = platform.obs.snapshot()
-    entries = snap["cpu.decode_cache.entries"]
-    misses = snap["cpu.decode_cache.misses"]
-    assert entries > 0
-    # cold cache: every distinct word missed exactly once on first fetch
-    assert misses == entries
-
-    platform.cpu._decode_cache.clear()
-    platform.run(pause_at=6_000, max_instructions=BUDGET)
-
-    snap = platform.obs.snapshot()
-    assert snap["cpu.decode_cache.misses"] > snap["cpu.decode_cache.entries"], \
-        "misses gauge still tracks cache size, not actual decode misses"
-    # hits = executed - misses stays consistent and non-negative
-    assert 0 <= snap["cpu.decode_cache.hits"]
-    assert (snap["cpu.decode_cache.hits"] + snap["cpu.decode_cache.misses"]
-            >= platform.total_instructions)

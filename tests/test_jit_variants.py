@@ -1,4 +1,4 @@
-"""The two variants of a full-DIFT superblock, and its fetch guard.
+"""The two variants of a full-DIFT superblock, and the code tags under it.
 
 Each full-DIFT superblock entry compiles in one of two flavours from the
 one emitter: a *clean* variant (the plain block's code plus an entry
@@ -15,8 +15,10 @@ alone:
 * a register a clean block writes before reading it may enter tagged,
   and leaves with the tag its last write gave it;
 * guests that never see a tag run only clean variants;
+* a loop whose skip region holds an instruction not run yet compiles
+  whole: the scan decodes it;
 * code tags that clear the fetch check do not keep blocks out, and a tag
-  write into compiled code still side-exits;
+  write into compiled code invalidates its blocks, as a data write does;
 * the clean variant folds bottom into literals, so the JIT runs under a
   lattice whose bottom tag is not 0 as well.
 """
@@ -59,10 +61,7 @@ _MIDRUN_TAINT = """
 main:
     li   t0, 4000
     li   a0, 0
-    la   t2, seed
-    lbu  t3, 0(t2)          # decode the loop's lbu and add on clean data,
-    li   a1, 0x9e3779b9     # so the loop compiles whole
-    add  a1, a1, t3
+    li   a1, 0x9e3779b9
     li   t2, UART_RXDATA
 loop:
     add  a0, a0, a1
@@ -78,9 +77,6 @@ next:
     bnez t0, loop
     li   a0, 0
     ret
-.data
-seed:
-    .byte 7
 """
 
 
@@ -118,6 +114,27 @@ def test_midrun_taint_keeps_running_compiled_blocks():
     assert stats.dropped == 0
     assert (stats.trace_instructions - traced
             > (on.total_instructions - retired) * 3 // 4)
+    assert _final_state(on, r_on) == _final_state(off, r_off)
+    assert not _doc_diff(off.snapshot_document(), on.snapshot_document())
+
+
+def test_loop_compiles_through_code_not_run_yet():
+    """The loop's ``lbu``/``add`` run only at the halfway iteration, so
+    they are not decoded when the loop turns hot.  The scan decodes them:
+    one looping block holds the whole loop, instead of a line block that
+    ends at the ``bne`` and leaves the back edge to the interpreter."""
+    off = _midrun_platform(False)
+    on = _midrun_platform(JIT_THRESHOLD)
+    r_off = off.run(max_instructions=80_000)
+    r_on = on.run(max_instructions=80_000)
+    loop = on.program.symbol("loop")
+    blk = on.jit.blocks[loop]
+    assert blk.loop and blk.length == 11
+    assert sorted(on.jit.blocks) == [loop]
+    stats = on.jit.stats
+    assert stats.block_execs < 10
+    assert stats.trace_instructions > r_on.instructions * 9 // 10
+    assert r_on.reason == r_off.reason == "halt"
     assert _final_state(on, r_on) == _final_state(off, r_off)
     assert not _doc_diff(off.snapshot_document(), on.snapshot_document())
 
@@ -192,7 +209,7 @@ def test_clean_guests_run_only_clean_variants(name):
 
 
 # ---------------------------------------------------------------------------
-# the fetch guard: code tags that clear the fetch check
+# code tags that clear the fetch check, and writes to them
 # ---------------------------------------------------------------------------
 
 def test_classified_code_that_clears_fetch_runs_compiled():
@@ -249,14 +266,12 @@ def _code_policy(program, classes):
     [builders.LC_LI] * 4,
     [builders.LC_LI, builders.LC_HI, builders.LC_LI, builders.LC_HI],
 ], ids=["uniform", "mixed"])
-def test_cleared_code_tags_compile_and_guard(classes):
+def test_cleared_code_tags_compile(classes):
     program = _shape_program(_CODE_LOOP)
     p_on = _shape_pair(program, True, "full",
                        policy=_code_policy(program, classes))
     blk = p_on.jit.blocks[program.symbol("loop")]
     assert blk.loop and blk.clean
-    guard = ("mt.count(" if len(set(classes)) == 1 else "!= ct:")
-    assert guard in blk.source
     assert p_on.jit.stats.dropped == 0
     assert p_on.jit.trace_ratio() >= 0.9
 
@@ -284,18 +299,21 @@ def _tag_write_run(program, jit, tag):
 
 @pytest.mark.parametrize("tag", [builders.HC_HI, builders.LC_HI],
                          ids=["refused", "cleared"])
-def test_tag_write_into_compiled_code_side_exits(tag):
-    """Tags under a compiled block changed by a host write: the entry
-    guard side-exits, and the interpreter's fetch check decides, whether
-    the new tag is refused (it raises) or cleared (the run goes on)."""
+def test_tag_write_into_compiled_code_invalidates(tag):
+    """Tags under a compiled block changed by a host write invalidate it,
+    as a data write does.  A refused tag keeps the loop interpreted, and
+    the interpreter's fetch check raises; a cleared one lets it compile
+    again.  Either way the run equals the JIT-off run."""
     program = _shape_program(_CODE_LOOP)
     __, __, off = _tag_write_run(program, False, tag)
     compiled, p_on, on = _tag_write_run(program, JIT_THRESHOLD, tag)
     assert compiled
     assert on == off
-    assert p_on.jit.stats.side_exits > 0
+    assert p_on.jit.stats.invalidated_blocks > 0
     if tag == builders.HC_HI:
         assert off[0][0] == "raised"
+    else:
+        assert program.symbol("loop") in p_on.jit.blocks
 
 
 # ---------------------------------------------------------------------------

@@ -351,10 +351,6 @@ def test_enabled_obs_counts_match_run(tmp_path):
 
     assert snap["cpu.instructions"] == result.instructions
     assert snap["cpu.instructions"] == platform.cpu.csr.instret
-    # hit/miss arithmetic: every retired instruction is one lookup
-    assert (snap["cpu.decode_cache.hits"]
-            + snap["cpu.decode_cache.misses"]) == snap["cpu.instructions"]
-    assert snap["cpu.decode_cache.entries"] == snap["cpu.decode_cache.misses"]
     assert snap["periph.uart0.writes"] == 3          # "obs"
     assert snap["tlm.target.uart0.transactions"] >= 3
     assert snap["cpu.quanta"] >= 1

@@ -206,6 +206,34 @@ class TestPlatformRoundTrip:
         assert resumed.total_instructions == reference.total_instructions
         assert resumed.console() == reference.console()
 
+    def test_decode_cache_stays_out_of_snapshots(self, tmp_path):
+        """The decode cache is derived state: a snapshot carries neither
+        it nor a miss count, and an older snapshot that still carries
+        both restores and runs on as the uninterrupted run does."""
+        reference = get_workload("qsort").make_platform(
+            "quick", True, obs=Observability(), engine_mode=RECORD)
+        ref_result = reference.run()
+
+        platform = make_paused()
+        doc = platform.snapshot_document()
+        cpu = doc["modules"]["cpu"]
+        assert "decode_cache" not in cpu and "decode_misses" not in cpu
+        cache = platform.cpu._decode_cache
+        cpu["decode_cache"] = {str(word): list(entry)
+                               for word, entry in cache.items()}
+        cpu["decode_misses"] = len(cache)
+        path = tmp_path / "older.json"
+        path.write_text(state.dump_document(doc))
+        resumed = Platform.restore(
+            str(path), obs=Observability(),
+            program=get_workload("qsort").build("quick"))
+        assert "decode_cache" not in resumed.snapshot_document()[
+            "modules"]["cpu"]
+        result = resumed.run()
+        assert result.reason == ref_result.reason
+        assert resumed.total_instructions == reference.total_instructions
+        assert resumed.console() == reference.console()
+
     def test_snapshot_header_carries_config(self, tmp_path):
         platform = make_paused(mode="demand")
         path = tmp_path / "snap.json"

@@ -323,6 +323,36 @@ class TestTaggedMemoryTransport:
         memory.tsock.b_transport(payload, SimTime(0))
         assert memory.tag_of(0x20) == 1
 
+    def test_observers_see_each_write_once_with_what_it_stored(self):
+        """Every write outside the ISS makes one call per observer with the
+        tags it stored: an int for a uniform fill, the bytes otherwise,
+        None when the shadow was not touched."""
+        calls = []
+        memory = Memory(Kernel(), "ram", 0x100, tagged=True, default_tag=1)
+        memory.set_lub_table([[max(a, b) for b in range(4)]
+                              for a in range(4)], None)
+        memory.observers.append(lambda *call: calls.append(call))
+        memory.fill_tags(0x20, 2, 3)
+        memory.tsock.b_transport(
+            GenericPayload.make_write(0x20, b"\xAB", tags=b"\x02"), ZERO_TIME)
+        memory.tsock.b_transport(
+            GenericPayload.make_write(0x30, b"\xAB\xCD"), ZERO_TIME)
+        memory.tsock.b_transport(GenericPayload.make_write(
+            0x20, b"\x01\x02", tags=b"\x02\x00", merge_tags=True), ZERO_TIME)
+        memory.load(0x40, b"\x01\x02\x03")
+        memory.write_word(0x44, 7, tag=2)
+        assert [(o, n, bytes(t) if isinstance(t, bytearray) else t)
+                for o, n, t in calls] == [
+            (0x20, 2, 3), (0x20, 1, b"\x02"), (0x30, 2, 1),
+            (0x20, 2, b"\x02\x03"), (0x40, 3, None), (0x44, 4, 2)]
+
+        untagged = Memory(Kernel(), "ram", 0x100)
+        untagged.observers.append(lambda *call: calls.append(call))
+        del calls[:]
+        untagged.fill_tags(0x20, 2, 3)           # no shadow: nothing written
+        untagged.write_word(0x44, 7, tag=2)
+        assert calls == [(0x44, 4, None)]
+
     def test_out_of_range_address_error(self):
         kernel = Kernel()
         memory = Memory(kernel, "ram", 0x10)
